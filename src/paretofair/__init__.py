@@ -2,7 +2,7 @@
 
 The package provides:
 
-* ``risk``      -- group-conditional risk accounting, disparity metrics,
+* ``risk``      -- group-conditional risk accounting, the max risk gap,
                    Pareto dominance and a non-dominated archive.
 * ``model``     -- a small from-scratch differentiable model family (linear /
                    MLP softmax classifiers) with weighted minibatch SGD and
@@ -18,13 +18,11 @@ The package provides:
 
 from paretofair.data import GroupedDataset, load_csv, save_csv, split_dataset
 from paretofair.risk import (
-    GapReport,
     ParetoArchive,
     RiskVector,
     archive_insert,
     brier_loss,
     cross_entropy_loss,
-    discrimination_gap,
     dominates,
     group_risks,
     metric_summary,

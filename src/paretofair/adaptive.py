@@ -62,7 +62,6 @@ class PFHyperparams:
     gamma0: float = 0.5
     xi: float = 0.85
     zeta: float = 0.85
-    lr0: float = 0.1
     max_outer_iters: int = 80
     max_consecutive_rejects: int = 15
     lr_min: float = 1e-6
@@ -73,41 +72,37 @@ class PFHyperparams:
             raise InputError("mu_init must be positive")
         if self.k <= 1:
             raise InputError("k must be > 1 so that c stays below min group risk")
-        if not (self.gamma0 > 0 and 0 < self.xi < 1 and 0 < self.zeta < 1 and self.lr0 > 0):
-            raise InputError("need gamma0 > 0, xi and zeta in (0,1), lr0 > 0")
+        if not (self.gamma0 > 0 and 0 < self.xi < 1 and 0 < self.zeta < 1):
+            raise InputError("need gamma0 > 0, xi and zeta in (0,1)")
 
 
 @dataclass
 class AdaptiveLossState:
     """Everything the outer loop carries between iterations."""
 
+    hp: PFHyperparams
     mu: np.ndarray
     mu_star: np.ndarray
     c: float
     c_old: float
     gamma: float
-    xi: float
-    zeta: float
-    k: float
     lr: float
     gamma_star: float
     best_params: object
     best_risk: RiskVector | None
     archive: ParetoArchive
-    worst_group: int = 0
 
 
 def init_state(G: int, hp: PFHyperparams, model: MLPClassifier) -> AdaptiveLossState:
+    """The first outer step trains at ``hp.train.lr``."""
     return AdaptiveLossState(
+        hp=hp,
         mu=np.full(G, hp.mu_init),
         mu_star=np.full(G, hp.mu_init),
         c=0.0,
         c_old=0.0,
         gamma=hp.gamma0,
-        xi=hp.xi,
-        zeta=hp.zeta,
-        k=hp.k,
-        lr=hp.lr0,
+        lr=hp.train.lr,
         gamma_star=np.inf,
         best_params=model.get_params(),
         best_risk=None,
@@ -134,19 +129,18 @@ def pf_accept_update(state: AdaptiveLossState, r_val: RiskVector, model: MLPClas
     state.best_risk = r_val
     state.gamma_star = max_gap(r_val)
     state.c_old = state.c
-    state.c = float(r_val.risks.min()) / state.k
+    state.c = float(r_val.risks.min()) / state.hp.k
     num = np.maximum(r_val.risks - state.c_old, 0.0)
     den = np.maximum(r_val.risks - state.c, 0.0)
     ratio = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
     state.mu_star = state.mu * ratio
-    state.worst_group = int(np.argmax(r_val.risks))
 
 
 def pf_reject_update(state: AdaptiveLossState, model: MLPClassifier):
     """Rejected step: decay lr and gamma, restore multipliers and best model."""
-    state.lr *= state.zeta
+    state.lr *= state.hp.zeta
     state.mu = state.mu_star.copy()
-    state.gamma *= state.xi
+    state.gamma *= state.hp.xi
     model.set_params(state.best_params)
 
 
@@ -207,9 +201,9 @@ def pareto_fair_optimize(
         else:
             pf_reject_update(state, model)
             consecutive_rejects += 1
-        # worst group is recomputed every iteration, reject branches included
-        state.worst_group = int(np.argmax(r_val.risks))
-        state.mu[state.worst_group] *= 1.0 + state.gamma
+        # the worst group's multiplier grows after rejected steps too
+        worst_group = int(np.argmax(r_val.risks))
+        state.mu[worst_group] *= 1.0 + state.gamma
         trace.append(
             TraceRow(
                 iteration=it,

@@ -4,13 +4,13 @@ post-processing rule that equalizes group accuracies by mixing toward chance."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from paretofair.data import GroupedDataset
 from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
-from paretofair.risk import InputError, RiskVector
+from paretofair.risk import InputError, RiskVector, group_means
 
 
 def _uniform_weights(r: RiskVector) -> np.ndarray:
@@ -25,14 +25,7 @@ def train_naive(
     loss: str = "brier",
 ):
     """Plain ERM: uniform sampling, objective = sample-weighted mean risk."""
-    cfg = TrainConfig(
-        lr=config.lr,
-        batch_size=config.batch_size,
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-        seed=config.seed,
-        stratified=False,
-    )
+    cfg = replace(config, stratified=False)
 
     def objective(r: RiskVector) -> float:
         return float(np.dot(r.risks, r.counts) / r.counts.sum())
@@ -49,14 +42,7 @@ def train_rebalanced(
     loss: str = "brier",
 ):
     """Equal per-group sampling, objective = unweighted mean of group risks."""
-    cfg = TrainConfig(
-        lr=config.lr,
-        batch_size=config.batch_size,
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-        seed=config.seed,
-        stratified=True,
-    )
+    cfg = replace(config, stratified=True)
 
     def objective(r: RiskVector) -> float:
         return float(r.risks.mean())
@@ -95,12 +81,9 @@ def fit_equalizing_rule(decisions, correct, groups) -> RandomizedGroupRule:
     if not (decisions.shape == correct.shape == groups.shape):
         raise InputError("decisions, correct and groups must have equal length")
     G = int(groups.max()) + 1
-    acc = np.zeros(G)
-    for a in range(G):
-        mask = groups == a
-        if not mask.any():
-            raise InputError(f"group {a} has no samples")
-        acc[a] = float(correct[mask].mean())
+    acc, counts = group_means(correct, groups, G)
+    if np.any(counts == 0):
+        raise InputError(f"group {int(np.argmin(counts))} has no samples")
     target = float(acc.min())
     if float(acc.max()) - target < 1e-12:
         return RandomizedGroupRule(keep_prob=np.ones(G))  # already equal
@@ -137,10 +120,24 @@ def save_rule_csv(rule: RandomizedGroupRule, path):
 
 
 def load_rule_csv(path) -> RandomizedGroupRule:
+    """Read a rule CSV; its group ids must be exactly 0..G-1."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: empty file")
         if header != ["group", "keep_prob"]:
             raise InputError(f"{path}: unexpected header {header}")
-        rows = sorted((int(r[0]), float(r[1])) for r in reader)
+        for row in reader:
+            if len(row) != 2:
+                raise InputError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+            try:
+                rows.append((int(row[0]), float(row[1])))
+            except ValueError as exc:
+                raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+    rows.sort()
+    ids = [a for a, _ in rows]
+    if not ids or ids != list(range(len(ids))):
+        raise InputError(f"{path}: group ids must be 0..G-1, got {ids}")
     return RandomizedGroupRule(keep_prob=np.array([kp for _, kp in rows]))

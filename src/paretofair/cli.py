@@ -10,17 +10,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from paretofair import adaptive, baselines, oracle, report
-from paretofair.data import GroupedDataset, load_csv, save_csv, split_dataset
+from paretofair.data import GroupedDataset, load_csv, load_key_values, save_csv, split_dataset
 from paretofair.model import MLPClassifier, TrainConfig, load_checkpoint, save_checkpoint
 
 
 @dataclass
 class ExperimentConfig:
+    """Every key a ``--config`` file may set."""
+
     scenario: str | None = None
     data: str | None = None
     method: str = "paretofair"
@@ -32,60 +34,30 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "out"
     # inner SGD
-    lr: float = 0.1
-    batch_size: int = 128
-    max_epochs: int = 60
-    patience: int = 5
+    lr: float = TrainConfig.lr
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
     # outer loop
-    mu_init: float = 1.0
-    k: float = 2.0
-    gamma0: float = 0.5
-    xi: float = 0.85
-    zeta: float = 0.85
-    max_outer_iters: int = 80
-    max_consecutive_rejects: int = 15
-    lr_min: float = 1e-6
+    mu_init: float = adaptive.PFHyperparams.mu_init
+    k: float = adaptive.PFHyperparams.k
+    gamma0: float = adaptive.PFHyperparams.gamma0
+    xi: float = adaptive.PFHyperparams.xi
+    zeta: float = adaptive.PFHyperparams.zeta
+    max_outer_iters: int = adaptive.PFHyperparams.max_outer_iters
+    max_consecutive_rejects: int = adaptive.PFHyperparams.max_consecutive_rejects
+    lr_min: float = adaptive.PFHyperparams.lr_min
 
 
-_INT_KEYS = {"n", "seed", "batch_size", "max_epochs", "patience", "max_outer_iters", "max_consecutive_rejects"}
-_FLOAT_KEYS = {"lr", "mu_init", "k", "gamma0", "xi", "zeta", "lr_min"}
-_TUPLE_INT_KEYS = {"hidden"}
-_TUPLE_FLOAT_KEYS = {"split"}
-_STR_KEYS = {"scenario", "data", "method", "activation", "loss", "out"}
+def build_config(path, overrides: dict) -> ExperimentConfig:
+    """The config file's values, if there is a file, under every non-None override."""
+    cfg = load_key_values(path, ExperimentConfig) if path else ExperimentConfig()
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def parse_config_file(path) -> dict:
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
-
-
-def build_config(file_values: dict, overrides: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    for key, val in merged.items():
-        if key in _INT_KEYS:
-            setattr(cfg, key, int(val))
-        elif key in _FLOAT_KEYS:
-            setattr(cfg, key, float(val))
-        elif key in _TUPLE_INT_KEYS:
-            setattr(cfg, key, tuple(int(v) for v in str(val).split(",") if v))
-        elif key in _TUPLE_FLOAT_KEYS:
-            setattr(cfg, key, tuple(float(v) for v in str(val).split(",")))
-        elif key in _STR_KEYS:
-            setattr(cfg, key, str(val))
-        else:
-            raise ValueError(f"unknown config key '{key}'")
-    return cfg
+def _shared_fields(cls, cfg: ExperimentConfig) -> dict:
+    """The fields of ``cls`` that ExperimentConfig also has, with their values in ``cfg``."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cls) if hasattr(cfg, f.name)}
 
 
 def _load_experiment_data(cfg: ExperimentConfig) -> GroupedDataset:
@@ -124,31 +96,23 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_train(args) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
     overrides = {"scenario": args.scenario, "data": args.data, "method": args.method,
                  "seed": args.seed, "out": args.out}
-    cfg = build_config(file_values, overrides)
+    cfg = build_config(args.config, overrides)
     if cfg.method not in ("naive", "rebalanced", "paretofair"):
         raise ValueError(f"unknown method '{cfg.method}'")
     ds = _load_experiment_data(cfg)
     train, val, test = split_dataset(ds, cfg.split, seed=cfg.seed)
     dims = [ds.dim, *cfg.hidden, ds.num_classes]
     model = MLPClassifier(dims, activation=cfg.activation, seed=cfg.seed)
-    tc = TrainConfig(
-        lr=cfg.lr, batch_size=cfg.batch_size, max_epochs=cfg.max_epochs,
-        patience=cfg.patience, seed=cfg.seed,
-    )
+    tc = TrainConfig(**_shared_fields(TrainConfig, cfg))
     os.makedirs(cfg.out, exist_ok=True)
     if cfg.method == "naive":
         baselines.train_naive(model, train, val, tc, cfg.loss)
     elif cfg.method == "rebalanced":
         baselines.train_rebalanced(model, train, val, tc, cfg.loss)
     else:
-        hp = adaptive.PFHyperparams(
-            mu_init=cfg.mu_init, k=cfg.k, gamma0=cfg.gamma0, xi=cfg.xi, zeta=cfg.zeta,
-            lr0=cfg.lr, max_outer_iters=cfg.max_outer_iters,
-            max_consecutive_rejects=cfg.max_consecutive_rejects, lr_min=cfg.lr_min, train=tc,
-        )
+        hp = adaptive.PFHyperparams(**_shared_fields(adaptive.PFHyperparams, cfg), train=tc)
         _model, trace = adaptive.pareto_fair_optimize(train, val, model, hp, cfg.loss)
         adaptive.write_trace_csv(trace, os.path.join(cfg.out, "trace.csv"))
     save_checkpoint(model, os.path.join(cfg.out, "model.ckpt"))

@@ -1,9 +1,10 @@
-"""Grouped datasets: validation, CSV serialization, stratified splitting."""
+"""Grouped datasets: validation, CSV serialization, stratified splitting, and
+the ``key = value`` settings files."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -157,3 +158,36 @@ def split_dataset(dataset: GroupedDataset, fractions=(0.6, 0.2, 0.2), seed: int 
             raise InputError(f"split {j} is missing a group; dataset too small for fractions")
         splits.append(dataset.subset(sub))
     return tuple(splits)
+
+
+def load_key_values(path, cls):
+    """Build the dataclass ``cls`` from a flat ``key = value`` text file.
+
+    One key per line; '#' starts a comment. Each value is coerced by the type
+    of its field's default: int, float, a comma-separated tuple of the type of
+    the default's first item (empty items dropped, so ``hidden =`` is ``()``),
+    or else str. Errors name ``path:line``.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, text = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise InputError(f"{path}:{lineno}: expected 'key = value'")
+            if key not in defaults:
+                raise InputError(f"{path}:{lineno}: unknown key '{key}'")
+            default = defaults[key]
+            try:
+                if isinstance(default, tuple):
+                    values[key] = tuple(type(default[0])(v) for v in text.split(",") if v.strip())
+                elif isinstance(default, (int, float)):
+                    values[key] = type(default)(text)
+                else:
+                    values[key] = text
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {key}: {exc}") from None
+    return cls(**values)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from paretofair.data import GroupedDataset
-from paretofair.risk import CLAMP, InputError, RiskVector, group_risks, sample_losses
+from paretofair.risk import CLAMP, InputError, RiskVector, group_means, group_risks, sample_losses
 
 ACTIVATIONS = ("relu", "tanh")
 _CKPT_MAGIC = b"PFCKPT1\n"
@@ -116,22 +116,19 @@ class MLPClassifier:
 
 
 def _loss_grad_probs(probs, targets, loss):
-    """Per-sample loss values and dloss/dprobs."""
+    """dloss/dprobs per sample."""
     n, C = probs.shape
     onehot = np.zeros((n, C))
     onehot[np.arange(n), targets] = 1.0
     if loss == "brier":
-        vals = np.sum((probs - onehot) ** 2, axis=1)
-        grads = 2.0 * (probs - onehot)
-        return vals, grads
+        return 2.0 * (probs - onehot)
     if loss == "cross_entropy":
         p = probs[np.arange(n), targets]
         pc = np.clip(p, CLAMP, 1.0 - CLAMP)
-        vals = -np.log(pc)
         grads = np.zeros((n, C))
         active = (p > CLAMP) & (p < 1.0 - CLAMP)
         grads[np.arange(n), targets] = np.where(active, -1.0 / pc, 0.0)
-        return vals, grads
+        return grads
     raise InputError(f"unknown loss '{loss}'")
 
 
@@ -149,7 +146,7 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
     if wsum <= 0:
         raise InputError("sample weights must not all be zero")
     hs, zs, probs = model._forward_cached(X)
-    _vals, dl_dp = _loss_grad_probs(probs, targets, loss)
+    dl_dp = _loss_grad_probs(probs, targets, loss)
     # softmax Jacobian: dl/dz_k = p_k (g_k - sum_j g_j p_j)
     inner = np.sum(dl_dp * probs, axis=1, keepdims=True)
     delta = probs * (dl_dp - inner)
@@ -213,19 +210,9 @@ def sgd_early_stop(
             X = train.features[idx]
             y = train.targets[idx]
             a = train.groups[idx]
-            probs = model.forward(X)
-            losses = sample_losses(probs, y, loss)
-            r_hat = np.zeros(G)
-            present = np.zeros(G, dtype=bool)
-            for g in range(G):
-                mask = a == g
-                if mask.any():
-                    present[g] = True
-                    r_hat[g] = losses[mask].mean()
-            counts = np.array([int((a == g).sum()) for g in range(G)])
+            r_hat, counts = group_means(sample_losses(model.forward(X), y, loss), a, G)
             w_groups = np.asarray(weight_rule(RiskVector(risks=r_hat, counts=counts)), dtype=float)
-            w_groups = np.where(present, w_groups, 1.0)
-            sw = w_groups[a]
+            sw = np.where(counts > 0, w_groups, 1.0)[a]
             gW, gb = weighted_grad(model, X, y, sw, loss)
             for W, g_ in zip(model.weights, gW):
                 W -= config.lr * g_
@@ -275,17 +262,32 @@ def save_checkpoint(model: MLPClassifier, path):
 
 def load_checkpoint(path) -> MLPClassifier:
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise InputError(f"{path}: not a model checkpoint (bad magic)")
-        act = ACTIVATIONS[struct.unpack("<B", fh.read(1))[0]]
-        (ndims,) = struct.unpack("<I", fh.read(4))
-        dims = [struct.unpack("<I", fh.read(4))[0] for _ in range(ndims)]
-        (seed,) = struct.unpack("<q", fh.read(8))
-        model = MLPClassifier(dims, activation=act, seed=seed, zero_init=True)
-        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            W = np.frombuffer(fh.read(8 * fan_in * fan_out), dtype=float).reshape(fan_in, fan_out)
-            b = np.frombuffer(fh.read(8 * fan_out), dtype=float)
-            model.weights[i] = W.copy()
-            model.biases[i] = b.copy()
-        return model
+        buf = fh.read()
+    if not buf.startswith(_CKPT_MAGIC):
+        raise InputError(f"{path}: not a model checkpoint (bad magic)")
+    pos = len(_CKPT_MAGIC)
+    try:
+        tag, ndims = struct.unpack_from("<BI", buf, pos)
+        dims = struct.unpack_from(f"<{ndims}I", buf, pos + 5)
+        (seed,) = struct.unpack_from("<q", buf, pos + 5 + 4 * ndims)
+    except struct.error:
+        raise InputError(f"{path}: truncated checkpoint header") from None
+    if tag >= len(ACTIVATIONS):
+        raise InputError(f"{path}: unknown activation tag {tag}")
+    pos += 5 + 4 * ndims + 8
+    shapes = list(zip(dims[:-1], dims[1:]))
+    expected = pos + 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+    if len(buf) != expected:
+        raise InputError(f"{path}: {len(buf)} bytes, but the header implies {expected}")
+    try:
+        model = MLPClassifier(dims, activation=ACTIVATIONS[tag], seed=seed, zero_init=True)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    params = np.frombuffer(buf, dtype=float, offset=pos)
+    start = 0
+    for i, (fan_in, fan_out) in enumerate(shapes):
+        stop = start + fan_in * fan_out
+        model.weights[i] = params[start:stop].reshape(fan_in, fan_out).copy()
+        model.biases[i] = params[stop : stop + fan_out].copy()
+        start = stop + fan_out
+    return model

@@ -10,12 +10,12 @@ here are exact expectations under the binary two-class squared loss
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from paretofair.data import GroupedDataset
-from paretofair.risk import InputError, RiskVector, dominates
+from paretofair.data import GroupedDataset, load_key_values
+from paretofair.risk import InputError, RiskVector, dominates, max_gap
 
 _TOL = 1e-9
 
@@ -119,48 +119,20 @@ def make_scenario(params: ScenarioParams = ScenarioParams()) -> ScenarioSpec:
 
 # -- scenario file I/O ---------------------------------------------------------
 #
-# Flat key = value text format, one key per line, '#' starts a comment.
-# List-valued keys are comma separated. Keys: priors, rho_low, rho_high,
-# transition_center, transition_delta, density_centers, density_widths,
-# grid_min, grid_max, grid_points.
-
-_SCALAR_KEYS = ("transition_center", "transition_delta", "grid_min", "grid_max")
-_LIST_KEYS = ("priors", "rho_low", "rho_high", "density_centers", "density_widths")
+# The ``key = value`` format of ``data.load_key_values``, one key per
+# ScenarioParams field; per-group tuples are comma separated.
 
 
 def save_scenario(params: ScenarioParams, path):
     with open(path, "w") as fh:
-        for key in _LIST_KEYS:
-            fh.write(f"{key} = {','.join(repr(float(v)) for v in getattr(params, key))}\n")
-        for key in _SCALAR_KEYS:
-            fh.write(f"{key} = {getattr(params, key)!r}\n")
-        fh.write(f"grid_points = {params.grid_points}\n")
+        for f in fields(params):
+            value = getattr(params, f.name)
+            text = ",".join(repr(float(v)) for v in value) if isinstance(value, tuple) else repr(value)
+            fh.write(f"{f.name} = {text}\n")
 
 
 def load_scenario(path) -> ScenarioParams:
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    kwargs = {}
-    for key in _LIST_KEYS:
-        if key in values:
-            kwargs[key] = tuple(float(v) for v in values[key].split(","))
-    for key in _SCALAR_KEYS:
-        if key in values:
-            kwargs[key] = float(values[key])
-    if "grid_points" in values:
-        kwargs["grid_points"] = int(values["grid_points"])
-    unknown = set(values) - set(_LIST_KEYS) - set(_SCALAR_KEYS) - {"grid_points"}
-    if unknown:
-        raise InputError(f"{path}: unknown scenario keys {sorted(unknown)}")
-    return ScenarioParams(**kwargs)
+    return load_key_values(path, ScenarioParams)
 
 
 # -- exact risk machinery ------------------------------------------------------
@@ -232,8 +204,7 @@ def trace_front(spec: ScenarioSpec, num_lambda: int = 1001):
     points = []
     for lam in _simplex_grid(spec.num_groups, num_lambda):
         r = exact_group_risks(spec, scalarized_bayes_predictor(spec, lam))
-        gap = float(r.risks.max() - r.risks.min())
-        points.append(FrontPoint(lam=lam, risks=r, max_gap=gap))
+        points.append(FrontPoint(lam=lam, risks=r, max_gap=max_gap(r)))
     keep = []
     for i, p in enumerate(points):
         if any(dominates(q.risks, p.risks) for j, q in enumerate(points) if j != i):
@@ -333,5 +304,4 @@ def write_reference_csv(refs: dict, path):
         w = csv.writer(fh)
         w.writerow(["name"] + [f"r_{a}" for a in range(G)] + ["max_gap"])
         for name, r in refs.items():
-            gap = float(r.risks.max() - r.risks.min())
-            w.writerow([name] + [repr(float(v)) for v in r.risks] + [repr(gap)])
+            w.writerow([name] + [repr(float(v)) for v in r.risks] + [repr(max_gap(r))])

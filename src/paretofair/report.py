@@ -14,7 +14,7 @@ import numpy as np
 
 from paretofair.data import GroupedDataset
 from paretofair.model import MLPClassifier
-from paretofair.risk import InputError, group_risks, metric_summary
+from paretofair.risk import InputError, group_means, group_risks, metric_summary
 
 SUMMARY_ROWS = ("__sample_mean", "__group_mean", "__discrepancy")
 
@@ -32,12 +32,7 @@ class MethodMetrics:
 def compute_metrics(model: MLPClassifier, test: GroupedDataset, method: str) -> MethodMetrics:
     probs = model.forward(test.features)
     r = group_risks(probs, test.targets, test.groups, "brier")
-    decisions = np.argmax(probs, axis=1)
-    G = test.num_groups
-    acc = np.zeros(G)
-    for a in range(G):
-        mask = test.groups == a
-        acc[a] = float((decisions[mask] == test.targets[mask]).mean())
+    acc, _counts = group_means(np.argmax(probs, axis=1) == test.targets, test.groups, test.num_groups)
     return MethodMetrics(
         method=method,
         group_names=test.group_names,
@@ -51,13 +46,7 @@ def compute_metrics(model: MLPClassifier, test: GroupedDataset, method: str) -> 
 def metrics_from_decisions(decisions, test: GroupedDataset, brier, method: str) -> MethodMetrics:
     """Metrics where decisions come from a (possibly randomized) rule."""
     decisions = np.asarray(decisions, dtype=int)
-    G = test.num_groups
-    acc = np.zeros(G)
-    counts = np.zeros(G, dtype=int)
-    for a in range(G):
-        mask = test.groups == a
-        counts[a] = int(mask.sum())
-        acc[a] = float((decisions[mask] == test.targets[mask]).mean())
+    acc, counts = group_means(decisions == test.targets, test.groups, test.num_groups)
     return MethodMetrics(
         method=method,
         group_names=test.group_names,
@@ -96,15 +85,22 @@ def load_metrics_csv(path):
     method = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: empty file")
         if header != ["method", "group", "ratio", "accuracy", "brier", "n"]:
             raise InputError(f"{path}: unexpected metrics header {header}")
         for row in reader:
+            if len(row) != len(header):
+                raise InputError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
             method = row[0]
-            if row[1] in SUMMARY_ROWS:
-                summary[row[1]] = (float(row[3]), float(row[4]))
-            else:
-                groups[row[1]] = (float(row[2]), float(row[3]), float(row[4]))
+            try:
+                if row[1] in SUMMARY_ROWS:
+                    summary[row[1]] = (float(row[3]), float(row[4]))
+                else:
+                    groups[row[1]] = (float(row[2]), float(row[3]), float(row[4]))
+            except ValueError as exc:
+                raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     if method is None:
         raise InputError(f"{path}: no rows")
     return method, groups, summary

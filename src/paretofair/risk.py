@@ -35,14 +35,6 @@ class RiskVector:
         return self.risks.shape[0]
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Pairwise absolute risk differences and their maximum."""
-
-    pairwise: dict
-    max_gap: float
-
-
 def _check_simplex(probs: np.ndarray):
     if probs.ndim != 1 or probs.shape[0] < 1:
         raise InputError("probability vector must be 1-d and nonempty")
@@ -94,40 +86,38 @@ def sample_losses(probs: np.ndarray, targets: np.ndarray, loss: str = "brier") -
     raise InputError(f"unknown loss '{loss}'")
 
 
+def group_means(values, groups, num_groups: int):
+    """Mean of ``values`` per group id 0..num_groups-1, and the sample counts.
+
+    Returns (means, counts); an empty group gets mean 0 and count 0.
+    """
+    values = np.asarray(values, dtype=float)
+    groups = np.asarray(groups, dtype=int)
+    means = np.zeros(num_groups)
+    counts = np.zeros(num_groups, dtype=int)
+    for a in range(num_groups):
+        mask = groups == a
+        counts[a] = int(mask.sum())
+        if counts[a]:
+            means[a] = values[mask].mean()
+    return means, counts
+
+
 def group_risks(probs: np.ndarray, targets, groups, loss: str = "brier") -> RiskVector:
     """Mean loss per group; every group id up to max(groups) must be present."""
     groups = np.asarray(groups, dtype=int)
     losses = sample_losses(probs, targets, loss)
     if groups.shape != losses.shape:
         raise InputError("groups length does not match probability rows")
-    G = int(groups.max()) + 1
-    risks = np.zeros(G)
-    counts = np.zeros(G, dtype=int)
-    for a in range(G):
-        mask = groups == a
-        counts[a] = int(mask.sum())
-        if counts[a] == 0:
-            raise InputError(f"group {a} has no samples; cannot estimate its risk")
-        risks[a] = float(losses[mask].mean())
+    risks, counts = group_means(losses, groups, int(groups.max()) + 1)
+    if np.any(counts == 0):
+        raise InputError(f"group {int(np.argmin(counts))} has no samples; cannot estimate its risk")
     return RiskVector(risks=risks, counts=counts)
 
 
-def discrimination_gap(r: RiskVector) -> GapReport:
-    """Pairwise |R_a - R_a'| and the max over all pairs (0 for a single group)."""
-    risks = r.risks
-    G = risks.shape[0]
-    pairwise = {}
-    for a in range(G):
-        for b in range(a + 1, G):
-            g = float(abs(risks[a] - risks[b]))
-            pairwise[(a, b)] = g
-            pairwise[(b, a)] = g
-    max_gap = float(risks.max() - risks.min()) if G > 1 else 0.0
-    return GapReport(pairwise=pairwise, max_gap=max_gap)
-
-
 def max_gap(r: RiskVector) -> float:
-    return discrimination_gap(r).max_gap
+    """Worst pairwise risk difference, max_a R_a - min_a R_a (0 for one group)."""
+    return float(r.risks.max() - r.risks.min())
 
 
 def dominates(r1, r2) -> bool:

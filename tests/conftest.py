@@ -25,6 +25,19 @@ def symmetric_spec():
     return make_scenario(params)
 
 
+@pytest.fixture(scope="session")
+def three_group_spec():
+    """Three groups of falling size and rising label noise."""
+    params = ScenarioParams(
+        priors=(0.5, 0.3, 0.2),
+        rho_low=(0.1, 0.2, 0.3),
+        rho_high=(0.9, 0.8, 0.7),
+        density_centers=(0.4, 0.5, 0.6),
+        density_widths=(0.15, 0.15, 0.15),
+    )
+    return make_scenario(params)
+
+
 def brute_force_nondominated(vectors):
     """O(n^2) scan: keep v iff no other vector dominates it."""
     vectors = [np.asarray(v, dtype=float) for v in vectors]

@@ -118,7 +118,6 @@ class TestAcceptReject:
         assert state.c == pytest.approx(0.1)
         assert state.c_old == 0.0
         assert state.gamma_star == pytest.approx(0.2)
-        assert state.worst_group == 0
 
     def test_mu_star_ratio(self):
         state, model = make_state()
@@ -147,8 +146,8 @@ class TestAcceptReject:
         model.set_params((mutated, model.biases))
         pf_reject_update(state, model)
         pf_reject_update(state, model)
-        assert state.lr == pytest.approx(lr0 * state.zeta**2)
-        assert state.gamma == pytest.approx(gamma0 * state.xi**2)
+        assert state.lr == pytest.approx(lr0 * state.hp.zeta**2)
+        assert state.gamma == pytest.approx(gamma0 * state.hp.xi**2)
         for W, best in zip(model.weights, state.best_params[0]):
             assert np.array_equal(W, best)
 
@@ -183,7 +182,7 @@ class TestEvaluateRisk:
 
 def _small_hp(seed=0, **kw):
     tc = TrainConfig(lr=0.2, batch_size=64, max_epochs=15, patience=3, seed=seed)
-    defaults = dict(lr0=0.2, max_outer_iters=10, max_consecutive_rejects=4, train=tc)
+    defaults = dict(max_outer_iters=10, max_consecutive_rejects=4, train=tc)
     defaults.update(kw)
     return PFHyperparams(**defaults)
 
@@ -242,6 +241,32 @@ class TestOuterLoop:
         final = evaluate_risk(model, va)
         last_accept = [row for row in trace if row.accepted][-1]
         assert np.allclose(final.risks, last_accept.risks, atol=1e-12)
+
+    def test_first_step_accepted_and_worst_multiplier_bumped(self):
+        spec = make_scenario(ScenarioParams())
+        ds = sample_dataset(spec, 2000, seed=10)
+        tr, va = split_dataset(ds, (0.75, 0.25), seed=0)
+        hp = _small_hp(max_outer_iters=1)
+        _, trace = pareto_fair_optimize(tr, va, MLPClassifier([1, 8, 2], seed=0), hp)
+        assert trace[0].accepted
+        expected = np.full(2, hp.mu_init)
+        expected[np.argmax(trace[0].risks)] *= 1.0 + hp.gamma0
+        assert np.array_equal(trace[0].mu, expected)
+
+    def test_three_group_trace_invariants(self, three_group_spec):
+        ds = sample_dataset(three_group_spec, 3000, seed=11)
+        tr, va = split_dataset(ds, (0.75, 0.25), seed=0)
+        hp = _small_hp(seed=4, max_outer_iters=4)
+        model, trace = pareto_fair_optimize(tr, va, MLPClassifier([1, 8, 2], seed=4), hp)
+        assert 1 <= len(trace) <= hp.max_outer_iters
+        assert all(row.mu.shape == (3,) and row.risks.shape == (3,) for row in trace)
+        accepted = [row for row in trace if row.accepted]
+        gaps = [row.max_gap for row in accepted]
+        assert gaps == sorted(gaps, reverse=True)
+        assert len(set(gaps)) == len(gaps)
+        for row in accepted:
+            assert row.c < row.risks.min()
+        assert np.allclose(evaluate_risk(model, va).risks, accepted[-1].risks, atol=1e-12)
 
     def test_val_missing_group_errors(self):
         spec = make_scenario(ScenarioParams())

@@ -63,6 +63,17 @@ class TestFitRule:
         rule = fit_equalizing_rule(np.zeros(2 * n, dtype=int), correct, groups)
         assert np.allclose(rule.keep_prob, [0.5, 1.0])
 
+    def test_three_group_closed_form(self):
+        # accuracies 0.9, 0.6, 0.75: target 0.6, keep = 0.1 / (acc - 0.5)
+        groups = np.repeat([0, 1, 2], 20)
+        correct = np.r_[np.ones(18), np.zeros(2), np.ones(12), np.zeros(8), np.ones(15), np.zeros(5)].astype(int)
+        rule = fit_equalizing_rule(np.zeros(60, dtype=int), correct, groups)
+        assert np.allclose(rule.keep_prob, [0.25, 1.0, 0.4])
+
+    def test_missing_group_rejected(self):
+        with pytest.raises(InputError, match="group 1"):
+            fit_equalizing_rule([0, 0], [1, 0], [0, 2])
+
     def test_equal_accuracies_keep_everything(self):
         groups = np.array([0, 0, 1, 1])
         correct = np.array([1, 0, 1, 0])
@@ -133,4 +144,21 @@ class TestRuleCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n0,1\n")
         with pytest.raises(InputError):
+            load_rule_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", r"rule\.csv: empty file"),
+            ("group,keep_prob\n", r"rule\.csv: group ids must be 0\.\.G-1"),
+            ("group,keep_prob\n0,1.0\n1\n", r"rule\.csv:3: expected 2 fields"),
+            ("group,keep_prob\n0,high\n", r"rule\.csv:2: "),
+            ("group,keep_prob\n0,1.0\n2,0.5\n", r"group ids must be 0\.\.G-1, got \[0, 2\]"),
+            ("group,keep_prob\n0,1.0\n0,0.5\n", r"group ids must be 0\.\.G-1, got \[0, 0\]"),
+        ],
+    )
+    def test_malformed_files_name_the_path(self, tmp_path, text, message):
+        path = tmp_path / "rule.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
             load_rule_csv(path)

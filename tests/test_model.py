@@ -268,3 +268,22 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(InputError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda b: b[:-3], "bytes, but the header implies"),
+            (lambda b: b + b"\0", "bytes, but the header implies"),
+            (lambda b: b[:11], "truncated checkpoint header"),
+            (lambda b: b[:8] + b"\x07" + b[9:], "unknown activation tag 7"),
+            (lambda b: b[:9] + b"\xff\xff\xff\xff" + b[13:], "truncated checkpoint header"),
+            (lambda b: b[:9] + b"\x01\0\0\0" + b[13:17] + bytes(8), "layer_dims"),
+        ],
+    )
+    def test_corrupt_checkpoint_names_path(self, tmp_path, corrupt, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(MLPClassifier([3, 7, 4], seed=11), path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(InputError, match=message) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)

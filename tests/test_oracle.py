@@ -18,6 +18,7 @@ from paretofair.oracle import (
     write_front_csv,
 )
 from paretofair.risk import InputError, dominates, group_risks
+from conftest import brute_force_nondominated
 
 
 def single_group_spec(eta_const=0.1, B=101):
@@ -62,6 +63,25 @@ class TestScenarioFile:
         path = tmp_path / "bad.txt"
         path.write_text("bogus = 1\n")
         with pytest.raises(InputError, match="bogus"):
+            load_scenario(path)
+
+    def test_three_group_round_trip(self, three_group_spec, tmp_path):
+        path = tmp_path / "scenario.txt"
+        save_scenario(three_group_spec.params, path)
+        assert load_scenario(path) == three_group_spec.params
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("# comment\ngrid_points = many\n", r"bad\.txt:2: grid_points"),
+            ("priors = 0.5,x\n", r"bad\.txt:1: priors"),
+            ("grid_min = 0.0\ngrid_max\n", r"bad\.txt:2: expected 'key = value'"),
+        ],
+    )
+    def test_errors_name_the_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=where):
             load_scenario(path)
 
 
@@ -210,6 +230,19 @@ class TestFront:
         max_r0 = max(float(p.risks.risks[0]) for p in front)
         assert min_gap >= noise[1] - max_r0 - 1e-9
         assert min_gap > 0
+
+    def test_three_group_front_matches_brute_force(self, three_group_spec):
+        spec = three_group_spec
+        front = trace_front(spec, 101)
+        m = 10  # the lattice step: round(101 ** (1 / (G - 1)))
+        lattice = [np.array([i, j, m - i - j]) / m for i in range(m + 1) for j in range(m + 1 - i)]
+        assert len(lattice) == 66
+        risks = [exact_group_risks(spec, scalarized_bayes_predictor(spec, lam)).risks for lam in lattice]
+        assert {tuple(p.risks.risks) for p in front} == brute_force_nondominated(risks)
+        keys = [(p.risks.risks[0], p.risks.risks[-1]) for p in front]
+        assert keys == sorted(keys)
+        for p in front:
+            assert p.max_gap == p.risks.risks.max() - p.risks.risks.min()
 
     def test_num_lambda_validated(self, acceptance_spec):
         with pytest.raises(InputError):

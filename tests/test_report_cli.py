@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from paretofair import cli
-from paretofair.data import load_csv
-from paretofair.model import MLPClassifier, load_checkpoint
+from paretofair.adaptive import PFHyperparams
+from paretofair.data import GroupedDataset, load_csv
+from paretofair.model import MLPClassifier, TrainConfig, load_checkpoint
 from paretofair.oracle import ScenarioParams, sample_dataset, save_scenario
 from paretofair.report import (
     combine_reports,
@@ -60,10 +63,30 @@ class TestMetricsCsv:
             mask = small_test_set.groups == a
             assert m.accuracy[a] == pytest.approx((small_test_set.targets[mask] == 0).mean())
 
+    def test_three_group_decisions_by_hand(self):
+        test = GroupedDataset(features=np.zeros((6, 1)), targets=[0, 1, 1, 1, 0, 0], groups=[0, 0, 1, 2, 2, 2])
+        m = metrics_from_decisions([0, 0, 1, 0, 0, 1], test, [0.1, 0.2, 0.3], "rule")
+        assert np.allclose(m.accuracy, [0.5, 1.0, 1 / 3])
+        assert list(m.counts) == [2, 1, 3]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("method,group,ratio,accuracy,brier,n\n")
         with pytest.raises(InputError):
+            load_metrics_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", r"m\.csv: empty file"),
+            ("method,group,ratio,accuracy,brier,n\nx,g0,0.5,0.9\n", r"m\.csv:2: expected 6 fields, got 4"),
+            ("method,group,ratio,accuracy,brier,n\nx,g0,0.5,high,0.1,10\n", r"m\.csv:2: "),
+        ],
+    )
+    def test_malformed_files_name_the_path(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
             load_metrics_csv(path)
 
 
@@ -114,7 +137,7 @@ class TestConfig:
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("lr = 0.05  # inner step\nhidden = 16,16\nmethod = naive\n")
-        cfg = cli.build_config(cli.parse_config_file(path), {"seed": 3, "method": None})
+        cfg = cli.build_config(path, {"seed": 3, "method": None})
         assert cfg.lr == 0.05
         assert cfg.hidden == (16, 16)
         assert cfg.method == "naive"
@@ -124,13 +147,30 @@ class TestConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("nonsense = 1\n")
         with pytest.raises(ValueError, match="nonsense"):
-            cli.build_config(cli.parse_config_file(path), {})
+            cli.build_config(path, {})
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("lr = 0.1\njust words\n")
         with pytest.raises(ValueError, match=":2"):
-            cli.parse_config_file(path)
+            cli.build_config(path, {})
+
+    def test_values_coerced_by_field_default(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("hidden =\nsplit = 0.5, 0.25, 0.25\nn = 300\ndata = d.csv\nmu_init = 2\n")
+        cfg = cli.build_config(path, {})
+        assert cfg.hidden == ()
+        assert cfg.split == (0.5, 0.25, 0.25)
+        assert cfg.n == 300 and cfg.data == "d.csv"
+        assert cfg.mu_init == 2.0 and isinstance(cfg.mu_init, float)
+
+    def test_no_file_gives_trainer_defaults(self):
+        cfg = cli.build_config(None, {"method": "naive"})
+        assert cfg.method == "naive"
+        for defaults in (TrainConfig(), PFHyperparams()):
+            for f in fields(defaults):
+                if hasattr(cfg, f.name):
+                    assert getattr(cfg, f.name) == getattr(defaults, f.name), f.name
 
 
 class TestCliCommands:
@@ -212,6 +252,12 @@ class TestCliCommands:
         assert combined.exists()
         text = capsys.readouterr().out
         assert "naive_acc" in text and "rebalanced_acc" in text
+
+    def test_report_names_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert cli.main(["report", str(path)]) == 1
+        assert f"error: {path}: empty file" in capsys.readouterr().err
 
     def test_report_no_inputs_fails(self, capsys):
         assert cli.main(["report"]) == 1

@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paretofair.risk import (
-    GapReport,
     InputError,
     ParetoArchive,
     RiskVector,
     archive_insert,
     brier_loss,
     cross_entropy_loss,
-    discrimination_gap,
     dominates,
+    group_means,
     group_risks,
+    max_gap,
     metric_summary,
     sample_losses,
 )
@@ -64,6 +64,22 @@ class TestCrossEntropy:
         assert cross_entropy_loss((0.25, 0.75), 1) == pytest.approx(-np.log(0.75))
 
 
+class TestGroupMeans:
+    def test_three_groups_by_hand(self):
+        means, counts = group_means([1.0, 2.0, 4.0, 0.5, 0.25], [2, 0, 0, 1, 2], 3)
+        assert np.array_equal(means, [3.0, 0.5, 0.625])
+        assert np.array_equal(counts, [2, 1, 2])
+
+    def test_empty_group_gets_zero(self):
+        means, counts = group_means([0.3, 0.9], [0, 2], 4)
+        assert np.array_equal(means, [0.3, 0.0, 0.9, 0.0])
+        assert np.array_equal(counts, [1, 0, 1, 0])
+
+    def test_booleans_average_to_rates(self):
+        means, _ = group_means(np.array([True, False, True, True]), [0, 0, 1, 2], 3)
+        assert np.array_equal(means, [0.5, 1.0, 1.0])
+
+
 class TestGroupRisks:
     def test_two_perfect_singletons(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -98,6 +114,13 @@ class TestGroupRisks:
             assert r.risks[a] == pytest.approx(acc / cnt, rel=1e-12)
             assert r.counts[a] == cnt
 
+    def test_three_groups_by_hand(self):
+        # brier for binary (p, 1-p) is 2(1-p)^2 against target 0 and 2p^2 against target 1
+        probs = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.75, 0.25], [0.5, 0.5]])
+        r = group_risks(probs, [0, 0, 0, 1, 1], [0, 1, 1, 2, 2])
+        assert np.allclose(r.risks, [0.0, 1.25, 0.8125])
+        assert list(r.counts) == [1, 2, 2]
+
     def test_missing_group_is_error(self):
         probs = np.array([[0.5, 0.5]])
         with pytest.raises(InputError, match="group"):
@@ -107,29 +130,20 @@ class TestGroupRisks:
 class TestDiscriminationGap:
     def test_equal_risks(self):
         r = RiskVector(risks=[0.4, 0.4], counts=[1, 1])
-        assert discrimination_gap(r).max_gap == 0.0
+        assert max_gap(r) == 0.0
 
     def test_three_groups(self):
         r = RiskVector(risks=[0.2, 0.5, 0.3], counts=[1, 1, 1])
-        rep = discrimination_gap(r)
-        assert rep.pairwise[(0, 1)] == pytest.approx(0.3)
-        assert rep.pairwise[(1, 2)] == pytest.approx(0.2)
-        assert rep.pairwise[(0, 2)] == pytest.approx(0.1)
-        assert rep.max_gap == pytest.approx(0.3)
+        assert max_gap(r) == pytest.approx(0.3)
 
     def test_single_group(self):
         r = RiskVector(risks=[0.7], counts=[1])
-        rep = discrimination_gap(r)
-        assert rep.pairwise == {}
-        assert rep.max_gap == 0.0
+        assert max_gap(r) == 0.0
 
     @given(st.lists(st.floats(0, 2), min_size=1, max_size=6))
     def test_max_gap_is_range(self, risks):
         r = RiskVector(risks=risks, counts=[1] * len(risks))
-        rep = discrimination_gap(r)
-        assert rep.max_gap == pytest.approx(max(risks) - min(risks))
-        for (a, b), g in rep.pairwise.items():
-            assert g == rep.pairwise[(b, a)]
+        assert max_gap(r) == pytest.approx(max(risks) - min(risks))
 
 
 class TestDominates:
