@@ -13,49 +13,12 @@ The package provides:
                    analytic Pareto front tracing, used as ground truth.
 * ``baselines`` -- naive ERM, group-rebalanced training and a randomized
                    accuracy-equalizing post-processing rule.
+* ``data``      -- grouped datasets, stratified splits, and the file formats:
+                   CSV tables and ``key = value`` settings files.
+* ``report``    -- per-group metrics and the combined summary table.
 * ``cli``       -- the ``paretofair`` command line tool.
-"""
 
-from paretofair.data import GroupedDataset, load_csv, save_csv, split_dataset
-from paretofair.risk import (
-    ParetoArchive,
-    RiskVector,
-    archive_insert,
-    brier_loss,
-    cross_entropy_loss,
-    dominates,
-    group_risks,
-    metric_summary,
-)
-from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop, weighted_grad
-from paretofair.adaptive import (
-    AdaptiveLossState,
-    PFHyperparams,
-    adaptive_loss,
-    evaluate_risk,
-    group_weights,
-    pareto_fair_optimize,
-)
-from paretofair.oracle import (
-    ScenarioParams,
-    FrontPoint,
-    ScenarioSpec,
-    bayes_noise,
-    disparity_tradeoff,
-    exact_group_risks,
-    make_scenario,
-    pareto_fair_point,
-    reference_points,
-    sample_dataset,
-    scalarized_bayes_predictor,
-    trace_front,
-)
-from paretofair.baselines import (
-    RandomizedGroupRule,
-    apply_rule,
-    fit_equalizing_rule,
-    train_naive,
-    train_rebalanced,
-)
+Import from the submodules, e.g. ``from paretofair.oracle import trace_front``.
+"""
 
 __version__ = "0.1.0"

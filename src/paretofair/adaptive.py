@@ -9,12 +9,11 @@ the multiplier bump, and retry.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from paretofair.data import GroupedDataset
+from paretofair.data import GroupedDataset, write_table
 from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
 from paretofair.risk import (
     InputError,
@@ -232,12 +231,5 @@ def write_trace_csv(trace, path):
     header += [f"mu_{a}" for a in range(G)]
     header += [f"r_{a}" for a in range(G)]
     header += ["max_gap"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in trace:
-            rec = [row.iteration, int(row.accepted), repr(row.lr), repr(row.gamma), repr(row.c)]
-            rec += [repr(float(v)) for v in row.mu]
-            rec += [repr(float(v)) for v in row.risks]
-            rec += [repr(row.max_gap)]
-            w.writerow(rec)
+    rows = ([r.iteration, int(r.accepted), r.lr, r.gamma, r.c, *r.mu, *r.risks, r.max_gap] for r in trace)
+    write_table(path, header, rows)

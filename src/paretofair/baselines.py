@@ -3,12 +3,11 @@ post-processing rule that equalizes group accuracies by mixing toward chance."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from paretofair.data import GroupedDataset
+from paretofair.data import GroupedDataset, exact_header, read_table, write_table
 from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
 from paretofair.risk import InputError, RiskVector, group_means
 
@@ -59,7 +58,7 @@ class RandomizedGroupRule:
 
     def __post_init__(self):
         kp = np.asarray(self.keep_prob, dtype=float)
-        if np.any(kp < 0) or np.any(kp > 1):
+        if not np.all((kp >= 0) & (kp <= 1)):  # NaN fails too
             raise InputError("keep probabilities must lie in [0, 1]")
         object.__setattr__(self, "keep_prob", kp)
 
@@ -111,33 +110,20 @@ def apply_rule(rule: RandomizedGroupRule, decisions, groups, seed: int = 0) -> n
     return np.where(keep, decisions, coin)
 
 
+_RULE_HEADER = ["group", "keep_prob"]
+
+
 def save_rule_csv(rule: RandomizedGroupRule, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["group", "keep_prob"])
-        for a, kp in enumerate(rule.keep_prob):
-            w.writerow([a, repr(float(kp))])
+    write_table(path, _RULE_HEADER, enumerate(rule.keep_prob))
 
 
 def load_rule_csv(path) -> RandomizedGroupRule:
     """Read a rule CSV; its group ids must be exactly 0..G-1."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: empty file")
-        if header != ["group", "keep_prob"]:
-            raise InputError(f"{path}: unexpected header {header}")
-        for row in reader:
-            if len(row) != 2:
-                raise InputError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
-            try:
-                rows.append((int(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-    rows.sort()
+    rows = sorted(read_table(path, exact_header(_RULE_HEADER, lambda row: (int(row[0]), float(row[1])))))
     ids = [a for a, _ in rows]
     if not ids or ids != list(range(len(ids))):
         raise InputError(f"{path}: group ids must be 0..G-1, got {ids}")
-    return RandomizedGroupRule(keep_prob=np.array([kp for _, kp in rows]))
+    try:
+        return RandomizedGroupRule(keep_prob=np.array([kp for _, kp in rows]))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

@@ -1,5 +1,5 @@
-"""Grouped datasets: validation, CSV serialization, stratified splitting, and
-the ``key = value`` settings files."""
+"""Grouped datasets: validation, stratified splitting, and the file formats:
+the one CSV table writer and reader, and the ``key = value`` settings files."""
 
 from __future__ import annotations
 
@@ -34,7 +34,9 @@ class GroupedDataset:
         if y.min() < 0 or a.min() < 0:
             raise InputError("labels must be nonnegative integers")
         G = int(a.max()) + 1
-        present = np.bincount(a, minlength=G)
+        # n samples fill at most n ids, so ids clipped at n still show the first
+        # empty group, and a huge id cannot make a huge count array
+        present = np.bincount(np.minimum(a, n))
         if np.any(present == 0):
             missing = int(np.argmin(present))
             raise InputError(f"group {missing} has no samples")
@@ -75,55 +77,104 @@ class GroupedDataset:
         return counts / counts.sum()
 
 
-class ParseError(ValueError):
-    """Raised when a dataset CSV cannot be parsed."""
+def write_table(path, header, rows):
+    """Write a CSV file: the ``header`` row, then ``rows``.
+
+    The one place a float cell is formatted: ``repr(float(v))`` for every float
+    (numpy floats too), which reads back bit-identical. Other cells use ``str``.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def read_table(path, parse_header):
+    """The parsed data rows of the CSV file at ``path``.
+
+    ``parse_header(header)`` checks the header row and returns the function
+    that parses one data row (a list of str). An empty file, a row whose field
+    count differs from the header's, bytes that are not UTF-8, or a ValueError
+    from either function raise InputError naming ``path:line``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file")
+            parse_row = parse_header(header)
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                rows.append(parse_row(row))
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
+        except InputError:
+            raise
+        except (ValueError, csv.Error) as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+    return rows
+
+
+def exact_header(columns, parse_row):
+    """A ``parse_header`` for ``read_table`` that accepts only ``columns``."""
+
+    def parse_header(header):
+        if header != columns:
+            raise ValueError(f"unexpected header {header}, expected {columns}")
+        return parse_row
+
+    return parse_header
+
+
+def _undecodable(path):
+    """InputError naming the line of the first byte of ``path`` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return InputError(f"{path}:{line}: {exc}")
+    return InputError(f"{path}: not UTF-8 text")
 
 
 def save_csv(dataset: GroupedDataset, path):
     """Write a dataset as CSV with columns f0..f{d-1}, target, group."""
-    d = dataset.dim
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"f{i}" for i in range(d)] + ["target", "group"])
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row += [int(dataset.targets[i]), int(dataset.groups[i])]
-            w.writerow(row)
+    header = [f"f{i}" for i in range(dataset.dim)] + ["target", "group"]
+    # whole columns through .tolist(): far cheaper than a numpy scalar per cell
+    columns = dataset.features.T.tolist() + [dataset.targets.tolist(), dataset.groups.tolist()]
+    write_table(path, header, zip(*columns))
 
 
 def load_csv(path) -> GroupedDataset:
-    """Read a dataset CSV (header f0..f{d-1}, target, group)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+    """Read a dataset CSV: header f0..f{d-1} (in this order), target and group."""
+
+    def parse_header(header):
         for col in ("target", "group"):
             if col not in header:
-                raise ParseError(f"{path}: missing required column '{col}'")
+                raise ValueError(f"missing required column '{col}'")
         feat_cols = [c for c in header if c not in ("target", "group")]
-        expected = [f"f{i}" for i in range(len(feat_cols))]
-        if feat_cols != expected:
-            raise ParseError(f"{path}: feature columns must be f0..f{len(feat_cols)-1}, got {feat_cols}")
-        ti = header.index("target")
-        gi = header.index("group")
+        if feat_cols != [f"f{i}" for i in range(len(feat_cols))]:
+            raise ValueError(f"feature columns must be f0..f{len(feat_cols)-1}, got {feat_cols}")
         fi = [header.index(c) for c in feat_cols]
-        feats, targets, groups = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                feats.append([float(row[j]) for j in fi])
-                targets.append(int(row[ti]))
-                groups.append(int(row[gi]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if not feats:
-        raise ParseError(f"{path}: no data rows")
-    return GroupedDataset(
-        features=np.asarray(feats), targets=np.asarray(targets), groups=np.asarray(groups)
-    )
+        ti, gi = header.index("target"), header.index("group")
+        return lambda row: [float(row[j]) for j in fi] + [int(row[ti]), int(row[gi])]
+
+    rows = read_table(path, parse_header)
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    # one flat float row per sample and one conversion: float64 holds every
+    # label below 2**53 exactly
+    table = np.asarray(rows, dtype=float)
+    if np.any(np.abs(table[:, -2:]) >= 2.0**53):
+        raise InputError(f"{path}: target and group labels must be below 2**53")
+    try:
+        return GroupedDataset(features=table[:, :-2], targets=table[:, -2], groups=table[:, -1])
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def split_dataset(dataset: GroupedDataset, fractions=(0.6, 0.2, 0.2), seed: int = 0):
@@ -170,24 +221,28 @@ def load_key_values(path, cls):
     """
     defaults = {f.name: f.default for f in fields(cls)}
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, text = (part.strip() for part in line.partition("="))
-            if not sep:
-                raise InputError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in defaults:
-                raise InputError(f"{path}:{lineno}: unknown key '{key}'")
-            default = defaults[key]
-            try:
-                if isinstance(default, tuple):
-                    values[key] = tuple(type(default[0])(v) for v in text.split(",") if v.strip())
-                elif isinstance(default, (int, float)):
-                    values[key] = type(default)(text)
-                else:
-                    values[key] = text
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {key}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, text = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise InputError(f"{path}:{lineno}: expected 'key = value'")
+        if key not in defaults:
+            raise InputError(f"{path}:{lineno}: unknown key '{key}'")
+        default = defaults[key]
+        try:
+            if isinstance(default, tuple):
+                values[key] = tuple(type(default[0])(v) for v in text.split(",") if v.strip())
+            elif isinstance(default, (int, float)):
+                values[key] = type(default)(text)
+            else:
+                values[key] = text
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {key}: {exc}") from None
     return cls(**values)

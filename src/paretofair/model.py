@@ -281,7 +281,7 @@ def load_checkpoint(path) -> MLPClassifier:
         raise InputError(f"{path}: {len(buf)} bytes, but the header implies {expected}")
     try:
         model = MLPClassifier(dims, activation=ACTIVATIONS[tag], seed=seed, zero_init=True)
-    except InputError as exc:
+    except ValueError as exc:  # bad dims, or a seed numpy rejects
         raise InputError(f"{path}: {exc}") from None
     params = np.frombuffer(buf, dtype=float, offset=pos)
     start = 0

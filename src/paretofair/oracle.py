@@ -9,12 +9,11 @@ here are exact expectations under the binary two-class squared loss
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from paretofair.data import GroupedDataset, load_key_values
+from paretofair.data import GroupedDataset, load_key_values, write_table
 from paretofair.risk import InputError, RiskVector, dominates, max_gap
 
 _TOL = 1e-9
@@ -92,8 +91,9 @@ def make_scenario(params: ScenarioParams = ScenarioParams()) -> ScenarioSpec:
     ``transition_center`` and separated by ``transition_delta``.
     """
     G = len(params.priors)
-    if not (len(params.rho_low) == len(params.rho_high) == len(params.density_centers) == G):
-        raise InputError("per-group parameter tuples must all have the same length")
+    for name in ("rho_low", "rho_high", "density_centers", "density_widths"):
+        if len(getattr(params, name)) != G:
+            raise InputError(f"{name} has {len(getattr(params, name))} entries, but priors has {G}")
     for lo, hi in zip(params.rho_low, params.rho_high):
         if not (0 <= lo < hi <= 1):
             raise InputError("need 0 <= rho_low < rho_high <= 1 per group")
@@ -288,20 +288,11 @@ def write_front_csv(front, path):
     if not front:
         raise InputError("empty front")
     G = front[0].lam.shape[0]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"lambda_{a}" for a in range(G)] + [f"r_{a}" for a in range(G)] + ["max_gap", "mean_risk"])
-        for p in front:
-            row = [repr(float(v)) for v in p.lam]
-            row += [repr(float(v)) for v in p.risks.risks]
-            row += [repr(p.max_gap), repr(float(p.risks.risks.mean()))]
-            w.writerow(row)
+    header = [f"lambda_{a}" for a in range(G)] + [f"r_{a}" for a in range(G)] + ["max_gap", "mean_risk"]
+    write_table(path, header, ([*p.lam, *p.risks.risks, p.max_gap, p.risks.risks.mean()] for p in front))
 
 
 def write_reference_csv(refs: dict, path):
     G = next(iter(refs.values())).num_groups
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name"] + [f"r_{a}" for a in range(G)] + ["max_gap"])
-        for name, r in refs.items():
-            w.writerow([name] + [repr(float(v)) for v in r.risks] + [repr(max_gap(r))])
+    header = ["name"] + [f"r_{a}" for a in range(G)] + ["max_gap"]
+    write_table(path, header, ([name, *r.risks, max_gap(r)] for name, r in refs.items()))

@@ -7,16 +7,16 @@ __discrepancy (their ratio / n cells are empty).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from paretofair.data import GroupedDataset
+from paretofair.data import GroupedDataset, exact_header, read_table, write_table
 from paretofair.model import MLPClassifier
 from paretofair.risk import InputError, group_means, group_risks, metric_summary
 
 SUMMARY_ROWS = ("__sample_mean", "__group_mean", "__discrepancy")
+_HEADER = ["method", "group", "ratio", "accuracy", "brier", "n"]
 
 
 @dataclass(frozen=True)
@@ -60,50 +60,30 @@ def metrics_from_decisions(decisions, test: GroupedDataset, brier, method: str) 
 def save_metrics_csv(metrics: MethodMetrics, path):
     acc_s = metric_summary(metrics.accuracy, metrics.ratios)
     bs_s = metric_summary(metrics.brier, metrics.ratios)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "group", "ratio", "accuracy", "brier", "n"])
-        for a, name in enumerate(metrics.group_names):
-            w.writerow(
-                [
-                    metrics.method,
-                    name,
-                    repr(float(metrics.ratios[a])),
-                    repr(float(metrics.accuracy[a])),
-                    repr(float(metrics.brier[a])),
-                    int(metrics.counts[a]),
-                ]
-            )
-        for row_name, av, bv in zip(SUMMARY_ROWS, acc_s, bs_s):
-            w.writerow([metrics.method, row_name, "", repr(av), repr(bv), ""])
+    rows = [
+        [metrics.method, name, metrics.ratios[a], metrics.accuracy[a], metrics.brier[a], int(metrics.counts[a])]
+        for a, name in enumerate(metrics.group_names)
+    ]
+    rows += [[metrics.method, name, "", av, bv, ""] for name, av, bv in zip(SUMMARY_ROWS, acc_s, bs_s)]
+    write_table(path, _HEADER, rows)
+
+
+def _parse_metrics_row(row):
+    method, name, ratio, acc, brier, _n = row
+    if name in SUMMARY_ROWS:
+        return method, name, (float(acc), float(brier))
+    return method, name, (float(ratio), float(acc), float(brier))
 
 
 def load_metrics_csv(path):
-    """Returns (method, group rows dict, summary rows dict)."""
-    groups = {}
-    summary = {}
-    method = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: empty file")
-        if header != ["method", "group", "ratio", "accuracy", "brier", "n"]:
-            raise InputError(f"{path}: unexpected metrics header {header}")
-        for row in reader:
-            if len(row) != len(header):
-                raise InputError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
-            method = row[0]
-            try:
-                if row[1] in SUMMARY_ROWS:
-                    summary[row[1]] = (float(row[3]), float(row[4]))
-                else:
-                    groups[row[1]] = (float(row[2]), float(row[3]), float(row[4]))
-            except ValueError as exc:
-                raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-    if method is None:
-        raise InputError(f"{path}: no rows")
-    return method, groups, summary
+    """Returns (method, group rows dict, summary rows dict); the method is the last row's."""
+    rows = read_table(path, exact_header(_HEADER, _parse_metrics_row))
+    summary = {name: values for _method, name, values in rows if name in SUMMARY_ROWS}
+    for name in SUMMARY_ROWS:
+        if name not in summary:
+            raise InputError(f"{path}: missing summary row {name}")
+    groups = {name: values for _method, name, values in rows if name not in SUMMARY_ROWS}
+    return rows[-1][0], groups, summary
 
 
 def combine_reports(paths, out_csv=None):
@@ -124,22 +104,17 @@ def combine_reports(paths, out_csv=None):
         header += [f"{method}_acc", f"{method}_brier"]
     rows = []
     for name in group_set:
-        row = [name, repr(loaded[0][1][name][0])]
+        row = [name, loaded[0][1][name][0]]
         for _method, groups, _s in loaded:
-            _ratio, acc, bs = groups[name]
-            row += [repr(acc), repr(bs)]
+            row += groups[name][1:]
         rows.append(row)
     for summary_name in SUMMARY_ROWS:
         row = [summary_name, ""]
         for _method, _g, summary in loaded:
-            acc, bs = summary[summary_name]
-            row += [repr(acc), repr(bs)]
+            row += summary[summary_name]
         rows.append(row)
     if out_csv is not None:
-        with open(out_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+        write_table(out_csv, header, rows)
     return header, rows
 
 

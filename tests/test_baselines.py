@@ -155,6 +155,8 @@ class TestRuleCsv:
             ("group,keep_prob\n0,high\n", r"rule\.csv:2: "),
             ("group,keep_prob\n0,1.0\n2,0.5\n", r"group ids must be 0\.\.G-1, got \[0, 2\]"),
             ("group,keep_prob\n0,1.0\n0,0.5\n", r"group ids must be 0\.\.G-1, got \[0, 0\]"),
+            ("group,keep_prob\n0,1.5\n", r"rule\.csv: keep probabilities must lie in \[0, 1\]"),
+            ("group,keep_prob\n0,nan\n", r"rule\.csv: keep probabilities must lie in \[0, 1\]"),
         ],
     )
     def test_malformed_files_name_the_path(self, tmp_path, text, message):

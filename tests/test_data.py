@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from paretofair.data import GroupedDataset, ParseError, load_csv, save_csv, split_dataset
+from paretofair.data import GroupedDataset, load_csv, save_csv, split_dataset
 from paretofair.oracle import ScenarioParams, make_scenario, sample_dataset
 from paretofair.risk import InputError
 
@@ -23,6 +25,16 @@ class TestGroupedDataset:
     def test_missing_group_rejected(self):
         with pytest.raises(InputError, match="group 0"):
             GroupedDataset(features=[[1.0]], targets=[0], groups=[1])
+
+    def test_huge_group_id_allocates_no_counts(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="group 0 has no samples"):
+                GroupedDataset(features=[[1.0]], targets=[0], groups=[10**7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6  # a count per id up to 10**7 would take 80 MB
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
@@ -54,19 +66,19 @@ class TestCsvRoundTrip:
     def test_missing_group_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,target\n0.1,0\n")
-        with pytest.raises(ParseError, match="group"):
+        with pytest.raises(InputError, match="group"):
             load_csv(path)
 
     def test_non_numeric_cell_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,target,group\n0.1,0,0\nxyz,1,0\n")
-        with pytest.raises(ParseError, match=":3"):
+        with pytest.raises(InputError, match=":3"):
             load_csv(path)
 
     def test_unexpected_feature_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,target,group\n0.1,0,0\n")
-        with pytest.raises(ParseError, match="feature columns"):
+        with pytest.raises(InputError, match="feature columns"):
             load_csv(path)
 
 

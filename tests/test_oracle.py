@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,13 @@ class TestConstructor:
     def test_transition_outside_grid_rejected(self):
         with pytest.raises(InputError):
             make_scenario(ScenarioParams(transition_center=1.5))
+
+    @pytest.mark.parametrize("name", ["priors", "rho_low", "rho_high", "density_centers", "density_widths"])
+    def test_short_per_group_tuple_is_named(self, name):
+        params = ScenarioParams()
+        short = replace(params, **{name: getattr(params, name)[:1]})
+        with pytest.raises(InputError, match=name):
+            make_scenario(short)
 
 
 class TestScenarioFile:

@@ -81,6 +81,7 @@ class TestMetricsCsv:
             ("", r"m\.csv: empty file"),
             ("method,group,ratio,accuracy,brier,n\nx,g0,0.5,0.9\n", r"m\.csv:2: expected 6 fields, got 4"),
             ("method,group,ratio,accuracy,brier,n\nx,g0,0.5,high,0.1,10\n", r"m\.csv:2: "),
+            ("method,group,ratio,accuracy,brier,n\nx,g0,1.0,0.9,0.1,10\n", r"m\.csv: missing summary row"),
         ],
     )
     def test_malformed_files_name_the_path(self, tmp_path, text, message):
@@ -258,6 +259,25 @@ class TestCliCommands:
         path.write_text("")
         assert cli.main(["report", str(path)]) == 1
         assert f"error: {path}: empty file" in capsys.readouterr().err
+
+    def test_report_names_missing_summary_row(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("method,group,ratio,accuracy,brier,n\nx,g0,1.0,0.9,0.1,10\n")
+        assert cli.main(["report", str(path)]) == 1
+        assert f"error: {path}: missing summary row __sample_mean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.1,0,0\n0.2,1,2\n", "group 1 has no samples"),
+            ("0.1,0,0\nnan,1,0\n", "features contain non-finite values"),
+        ],
+    )
+    def test_train_data_errors_name_the_file(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,target,group\n" + rows)
+        assert cli.main(["train", "--data", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
     def test_report_no_inputs_fails(self, capsys):
         assert cli.main(["report"]) == 1
