@@ -17,7 +17,6 @@ from paretofair.data import GroupedDataset, write_table
 from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
 from paretofair.risk import (
     InputError,
-    ParetoArchive,
     RiskVector,
     archive_insert,
     group_risks,
@@ -83,13 +82,11 @@ class AdaptiveLossState:
     mu: np.ndarray
     mu_star: np.ndarray
     c: float
-    c_old: float
     gamma: float
     lr: float
     gamma_star: float
     best_params: object
-    best_risk: RiskVector | None
-    archive: ParetoArchive
+    archive: tuple  # mutually non-dominated RiskVectors of the accepted steps
 
 
 def init_state(G: int, hp: PFHyperparams, model: MLPClassifier) -> AdaptiveLossState:
@@ -99,37 +96,26 @@ def init_state(G: int, hp: PFHyperparams, model: MLPClassifier) -> AdaptiveLossS
         mu=np.full(G, hp.mu_init),
         mu_star=np.full(G, hp.mu_init),
         c=0.0,
-        c_old=0.0,
         gamma=hp.gamma0,
         lr=hp.train.lr,
         gamma_star=np.inf,
         best_params=model.get_params(),
-        best_risk=None,
-        archive=ParetoArchive(),
+        archive=(),
     )
 
 
 def pf_step_accept(state: AdaptiveLossState, r_val: RiskVector) -> bool:
-    """Accept iff the gap strictly improves and r_val is archive-admissible.
-
-    Updates the archive on acceptance.
-    """
-    if max_gap(r_val) >= state.gamma_star:
-        return False
-    accepted, new_archive = archive_insert(state.archive, r_val)
-    if accepted:
-        state.archive = new_archive
-    return accepted
+    """Accept iff the gap strictly improves and no archived risk vector dominates r_val."""
+    return max_gap(r_val) < state.gamma_star and archive_insert(state.archive, r_val)[0]
 
 
 def pf_accept_update(state: AdaptiveLossState, r_val: RiskVector, model: MLPClassifier):
-    """Bookkeeping after an accepted step: new best model, c and mu* rescale."""
+    """Bookkeeping after an accepted step: archive r_val, new best model, c and mu* rescale."""
+    _, state.archive = archive_insert(state.archive, r_val)
     state.best_params = model.get_params()
-    state.best_risk = r_val
     state.gamma_star = max_gap(r_val)
-    state.c_old = state.c
-    state.c = float(r_val.risks.min()) / state.hp.k
-    num = np.maximum(r_val.risks - state.c_old, 0.0)
+    c_old, state.c = state.c, float(r_val.risks.min()) / state.hp.k
+    num = np.maximum(r_val.risks - c_old, 0.0)
     den = np.maximum(r_val.risks - state.c, 0.0)
     ratio = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
     state.mu_star = state.mu * ratio

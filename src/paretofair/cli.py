@@ -15,8 +15,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from paretofair import adaptive, baselines, oracle, report
-from paretofair.data import GroupedDataset, load_csv, load_key_values, save_csv, split_dataset
+from paretofair.data import GroupedDataset, _first_empty, load_csv, load_key_values, save_csv, split_dataset
 from paretofair.model import MLPClassifier, TrainConfig, load_checkpoint, save_checkpoint
+from paretofair.risk import InputError
 
 
 @dataclass
@@ -102,6 +103,10 @@ def cmd_train(args) -> int:
     if cfg.method not in ("naive", "rebalanced", "paretofair"):
         raise ValueError(f"unknown method '{cfg.method}'")
     ds = _load_experiment_data(cfg)
+    # the output layer has one unit per label up to the largest
+    empty = _first_empty(ds.targets)
+    if empty is not None:
+        raise InputError(f"{cfg.data or cfg.scenario}: class {empty} has no samples")
     train, val, test = split_dataset(ds, cfg.split, seed=cfg.seed)
     dims = [ds.dim, *cfg.hidden, ds.num_classes]
     model = MLPClassifier(dims, activation=cfg.activation, seed=cfg.seed)

@@ -4,7 +4,7 @@ the one CSV table writer and reader, and the ``key = value`` settings files."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,12 +18,11 @@ class GroupedDataset:
     features: np.ndarray
     targets: np.ndarray
     groups: np.ndarray
-    group_names: tuple = field(default=())
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.targets, dtype=int)
-        a = np.asarray(self.groups, dtype=int)
+        y = _labels(self.targets, "targets")
+        a = _labels(self.groups, "groups")
         if X.ndim != 2 or X.shape[0] < 1:
             raise InputError("features must be a nonempty n x d matrix")
         n = X.shape[0]
@@ -31,22 +30,12 @@ class GroupedDataset:
             raise InputError("targets and groups must have length n")
         if not np.all(np.isfinite(X)):
             raise InputError("features contain non-finite values")
-        if y.min() < 0 or a.min() < 0:
-            raise InputError("labels must be nonnegative integers")
-        G = int(a.max()) + 1
-        # n samples fill at most n ids, so ids clipped at n still show the first
-        # empty group, and a huge id cannot make a huge count array
-        present = np.bincount(np.minimum(a, n))
-        if np.any(present == 0):
-            missing = int(np.argmin(present))
+        missing = _first_empty(a)
+        if missing is not None:
             raise InputError(f"group {missing} has no samples")
-        names = self.group_names or tuple(f"g{i}" for i in range(G))
-        if len(names) != G:
-            raise InputError("group_names length does not match number of groups")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "targets", y)
         object.__setattr__(self, "groups", a)
-        object.__setattr__(self, "group_names", tuple(names))
 
     @property
     def n(self) -> int:
@@ -69,12 +58,28 @@ class GroupedDataset:
             features=self.features[idx],
             targets=self.targets[idx],
             groups=self.groups[idx],
-            group_names=self.group_names,
         )
 
     def group_ratios(self) -> np.ndarray:
         counts = np.bincount(self.groups, minlength=self.num_groups)
         return counts / counts.sum()
+
+
+def _labels(values, name):
+    """``values`` as int labels: each must be a whole number in [0, 2**53)."""
+    # float64 holds every whole number below 2**53 exactly, so the int copy is exact
+    f = np.asarray(values, dtype=float)
+    if not np.all((f >= 0) & (f < 2.0**53) & (f == np.floor(f))):
+        raise InputError(f"{name} must be whole numbers in [0, 2**53)")
+    return f.astype(int)
+
+
+def _first_empty(labels):
+    """The smallest label in 0..max(labels) that no entry holds, or None."""
+    # n entries fill at most n labels, so labels clipped at n still show the
+    # first empty one, and a huge label cannot make a huge count array
+    present = np.bincount(np.minimum(labels, len(labels)))
+    return int(np.argmin(present)) if np.any(present == 0) else None
 
 
 def write_table(path, header, rows):
@@ -166,11 +171,9 @@ def load_csv(path) -> GroupedDataset:
     rows = read_table(path, parse_header)
     if not rows:
         raise InputError(f"{path}: no data rows")
-    # one flat float row per sample and one conversion: float64 holds every
-    # label below 2**53 exactly
+    # one flat float row per sample and one conversion; GroupedDataset rejects
+    # labels of 2**53 and above, which float64 may have rounded
     table = np.asarray(rows, dtype=float)
-    if np.any(np.abs(table[:, -2:]) >= 2.0**53):
-        raise InputError(f"{path}: target and group labels must be below 2**53")
     try:
         return GroupedDataset(features=table[:, :-2], targets=table[:, -2], groups=table[:, -1])
     except InputError as exc:

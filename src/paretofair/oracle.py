@@ -9,7 +9,7 @@ here are exact expectations under the binary two-class squared loss
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,8 +43,6 @@ class ScenarioSpec:
     priors: np.ndarray
     density: np.ndarray  # G x B, rows sum to 1
     eta: np.ndarray  # G x B, values in [0, 1]
-    params: ScenarioParams | None = None
-    group_names: tuple = field(default=())
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -60,12 +58,10 @@ class ScenarioSpec:
             raise InputError("each density row must be nonnegative and sum to 1")
         if np.any(eta < 0) or np.any(eta > 1):
             raise InputError("eta values must lie in [0, 1]")
-        names = self.group_names or tuple(f"g{i}" for i in range(G))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "density", density)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "group_names", tuple(names))
 
     @property
     def num_groups(self) -> int:
@@ -112,9 +108,7 @@ def make_scenario(params: ScenarioParams = ScenarioParams()) -> ScenarioSpec:
         bump = np.exp(-0.5 * ((x - params.density_centers[a]) / params.density_widths[a]) ** 2)
         density[a] = bump / bump.sum()
         eta[a] = np.where(x < transitions[a], params.rho_low[a], params.rho_high[a])
-    return ScenarioSpec(
-        grid=x, priors=np.asarray(params.priors, dtype=float), density=density, eta=eta, params=params
-    )
+    return ScenarioSpec(grid=x, priors=np.asarray(params.priors, dtype=float), density=density, eta=eta)
 
 
 # -- scenario file I/O ---------------------------------------------------------
@@ -251,13 +245,7 @@ def disparity_tradeoff(front):
     if not front:
         raise InputError("empty front")
     pairs = [(float(p.risks.risks.mean()), p.max_gap) for p in front]
-    keep = []
-    for i, (m, g) in enumerate(pairs):
-        if any(
-            (m2 <= m and g2 <= g and (m2 < m or g2 < g)) for j, (m2, g2) in enumerate(pairs) if j != i
-        ):
-            continue
-        keep.append((m, g))
+    keep = [p for p in pairs if not any(dominates(q, p) for q in pairs)]
     keep.sort(key=lambda t: t[1])
     return keep
 

@@ -1,8 +1,8 @@
 """Per-group metrics and the combined summary table.
 
-Metrics CSV schema: columns method, group, ratio, accuracy, brier, n. Summary
-rows use the reserved group values __sample_mean, __group_mean and
-__discrepancy (their ratio / n cells are empty).
+Metrics CSV schema: columns method, group, ratio, accuracy, brier, n. Group
+rows are named g0, g1, ...; summary rows use the reserved group values
+__sample_mean, __group_mean and __discrepancy (their ratio / n cells are empty).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ _HEADER = ["method", "group", "ratio", "accuracy", "brier", "n"]
 @dataclass(frozen=True)
 class MethodMetrics:
     method: str
-    group_names: tuple
     ratios: np.ndarray
     accuracy: np.ndarray
     brier: np.ndarray
@@ -35,7 +34,6 @@ def compute_metrics(model: MLPClassifier, test: GroupedDataset, method: str) -> 
     acc, _counts = group_means(np.argmax(probs, axis=1) == test.targets, test.groups, test.num_groups)
     return MethodMetrics(
         method=method,
-        group_names=test.group_names,
         ratios=test.group_ratios(),
         accuracy=acc,
         brier=r.risks.copy(),
@@ -49,7 +47,6 @@ def metrics_from_decisions(decisions, test: GroupedDataset, brier, method: str) 
     acc, counts = group_means(decisions == test.targets, test.groups, test.num_groups)
     return MethodMetrics(
         method=method,
-        group_names=test.group_names,
         ratios=test.group_ratios(),
         accuracy=acc,
         brier=np.asarray(brier, dtype=float),
@@ -61,8 +58,8 @@ def save_metrics_csv(metrics: MethodMetrics, path):
     acc_s = metric_summary(metrics.accuracy, metrics.ratios)
     bs_s = metric_summary(metrics.brier, metrics.ratios)
     rows = [
-        [metrics.method, name, metrics.ratios[a], metrics.accuracy[a], metrics.brier[a], int(metrics.counts[a])]
-        for a, name in enumerate(metrics.group_names)
+        [metrics.method, f"g{a}", metrics.ratios[a], metrics.accuracy[a], metrics.brier[a], int(metrics.counts[a])]
+        for a in range(len(metrics.ratios))
     ]
     rows += [[metrics.method, name, "", av, bv, ""] for name, av, bv in zip(SUMMARY_ROWS, acc_s, bs_s)]
     write_table(path, _HEADER, rows)

@@ -1,14 +1,12 @@
-"""Group-conditional risks, disparity metrics, Pareto dominance and archive."""
+"""Per-sample losses, group-conditional risks, disparity metrics, Pareto dominance and archive."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
 CLAMP = 1e-12
-SIMPLEX_TOL = 1e-6
 
 
 class InputError(ValueError):
@@ -35,40 +33,12 @@ class RiskVector:
         return self.risks.shape[0]
 
 
-def _check_simplex(probs: np.ndarray):
-    if probs.ndim != 1 or probs.shape[0] < 1:
-        raise InputError("probability vector must be 1-d and nonempty")
-    if not np.all(np.isfinite(probs)) or np.any(probs < -SIMPLEX_TOL):
-        raise InputError("probability vector has invalid entries")
-    if abs(float(probs.sum()) - 1.0) > SIMPLEX_TOL:
-        raise InputError(f"probabilities sum to {probs.sum()}, expected 1")
-
-
-def brier_loss(probs, target: int) -> float:
-    """Squared distance between a class-probability vector and the one-hot target.
-
-    Full multiclass form: sum over classes of (p_j - y_j)^2, range [0, 2].
-    """
-    probs = np.asarray(probs, dtype=float)
-    _check_simplex(probs)
-    if not 0 <= target < probs.shape[0]:
-        raise InputError(f"target {target} out of range for {probs.shape[0]} classes")
-    onehot = np.zeros_like(probs)
-    onehot[target] = 1.0
-    return float(np.sum((probs - onehot) ** 2))
-
-
-def cross_entropy_loss(probs, target: int) -> float:
-    """Negative log probability of the target, clamped away from 0 and 1."""
-    probs = np.asarray(probs, dtype=float)
-    _check_simplex(probs)
-    if not 0 <= target < probs.shape[0]:
-        raise InputError(f"target {target} out of range for {probs.shape[0]} classes")
-    return float(-np.log(np.clip(probs[target], CLAMP, 1.0 - CLAMP)))
-
-
 def sample_losses(probs: np.ndarray, targets: np.ndarray, loss: str = "brier") -> np.ndarray:
-    """Vectorized per-sample losses for an n x C probability matrix."""
+    """Per-sample losses for an n x C probability matrix and n target labels.
+
+    ``brier``: sum over classes of (p_j - y_j)^2 against the one-hot target,
+    range [0, 2]. ``cross_entropy``: -log p_target, clamped away from 0 and 1.
+    """
     probs = np.asarray(probs, dtype=float)
     targets = np.asarray(targets, dtype=int)
     n, C = probs.shape
@@ -129,26 +99,15 @@ def dominates(r1, r2) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
-@dataclass(frozen=True)
-class ParetoArchive:
-    """Mutually non-dominated risk vectors with attached metadata."""
+def archive_insert(archive: tuple, r: RiskVector):
+    """Insert ``r`` unless an archived risk vector dominates it; drop those it dominates.
 
-    entries: tuple = field(default_factory=tuple)
-
-    def risk_vectors(self):
-        return [e[0] for e in self.entries]
-
-
-def archive_insert(archive: ParetoArchive, r: RiskVector, meta: Any = None):
-    """Insert ``r`` unless an existing entry dominates it; prune entries it dominates.
-
-    Returns (accepted, new_archive); the input archive is never mutated.
+    ``archive`` is a tuple of mutually non-dominated RiskVectors. Returns
+    (accepted, new_archive); the input tuple is never changed.
     """
-    for existing, _meta in archive.entries:
-        if dominates(existing, r):
-            return False, archive
-    kept = tuple(e for e in archive.entries if not dominates(r, e[0]))
-    return True, ParetoArchive(entries=kept + ((r, meta),))
+    if any(dominates(e, r) for e in archive):
+        return False, archive
+    return True, tuple(e for e in archive if not dominates(r, e)) + (r,)
 
 
 def metric_summary(per_group_metric, group_ratios):

@@ -25,17 +25,19 @@ def symmetric_spec():
     return make_scenario(params)
 
 
+# three groups of falling size and rising label noise
+THREE_GROUP_PARAMS = ScenarioParams(
+    priors=(0.5, 0.3, 0.2),
+    rho_low=(0.1, 0.2, 0.3),
+    rho_high=(0.9, 0.8, 0.7),
+    density_centers=(0.4, 0.5, 0.6),
+    density_widths=(0.15, 0.15, 0.15),
+)
+
+
 @pytest.fixture(scope="session")
 def three_group_spec():
-    """Three groups of falling size and rising label noise."""
-    params = ScenarioParams(
-        priors=(0.5, 0.3, 0.2),
-        rho_low=(0.1, 0.2, 0.3),
-        rho_high=(0.9, 0.8, 0.7),
-        density_centers=(0.4, 0.5, 0.6),
-        density_widths=(0.15, 0.15, 0.15),
-    )
-    return make_scenario(params)
+    return make_scenario(THREE_GROUP_PARAMS)
 
 
 def brute_force_nondominated(vectors):

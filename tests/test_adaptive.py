@@ -105,6 +105,14 @@ class TestAcceptReject:
         pf_accept_update(state, r0, model)
         assert not pf_step_accept(state, rv([0.35, 0.36]))
 
+    def test_step_accept_changes_nothing(self):
+        state, model = make_state()
+        r0 = rv([0.2, 0.3])
+        assert pf_step_accept(state, r0)
+        assert state.archive == () and state.gamma_star == np.inf
+        pf_accept_update(state, r0, model)
+        assert len(state.archive) == 1 and state.archive[0] is r0
+
     def test_equal_gap_rejected(self):
         state, model = make_state()
         r0 = rv([0.2, 0.3])
@@ -114,9 +122,10 @@ class TestAcceptReject:
 
     def test_accept_update_c_formula(self):
         state, model = make_state()
+        c = state.c
         pf_accept_update(state, rv([0.4, 0.2]), model)
         assert state.c == pytest.approx(0.1)
-        assert state.c_old == 0.0
+        assert c == 0.0
         assert state.gamma_star == pytest.approx(0.2)
 
     def test_mu_star_ratio(self):
@@ -124,7 +133,7 @@ class TestAcceptReject:
         state.c = 0.0
         state.mu = np.array([1.0, 1.0])
         pf_accept_update(state, rv([0.4, 0.2]), model)
-        # c_old = 0, c = 0.1: mu* = (0.4/0.3, 0.2/0.1)
+        # c goes from 0 to 0.1: mu* = (0.4/0.3, 0.2/0.1)
         assert np.allclose(state.mu_star, [0.4 / 0.3, 2.0])
 
     def test_mu_star_identity_when_c_unchanged(self):
@@ -132,8 +141,9 @@ class TestAcceptReject:
         # min(r)/k = 0.3/2 equals the current c, so the rescale ratio is 1
         state.c = 0.15
         state.mu = np.array([2.0, 3.0])
+        c = state.c
         pf_accept_update(state, rv([0.4, 0.3]), model)
-        assert state.c == pytest.approx(state.c_old)
+        assert state.c == pytest.approx(c)
         assert np.allclose(state.mu_star, state.mu)
 
     def test_reject_update(self):

@@ -36,6 +36,20 @@ class TestGroupedDataset:
             tracemalloc.stop()
         assert peak < 10**6  # a count per id up to 10**7 would take 80 MB
 
+    @pytest.mark.parametrize(
+        "targets, groups, name",
+        [
+            ([0.7, 1.9], [0.0, 0.0], "targets"),
+            ([0, 1], [0.2, 0.0], "groups"),
+            ([0.0, np.nan], [0, 0], "targets"),
+            ([0, 1], [0.0, np.inf], "groups"),
+            ([0, -1], [0, 0], "targets"),
+        ],
+    )
+    def test_labels_that_are_not_whole_numbers_rejected(self, targets, groups, name):
+        with pytest.raises(InputError, match=f"^{name} must be whole numbers"):
+            GroupedDataset(features=[[0.0], [1.0]], targets=targets, groups=groups)
+
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             GroupedDataset(features=[[1.0], [2.0]], targets=[0], groups=[0, 0])

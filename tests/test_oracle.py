@@ -20,7 +20,7 @@ from paretofair.oracle import (
     write_front_csv,
 )
 from paretofair.risk import InputError, dominates, group_risks
-from conftest import brute_force_nondominated
+from conftest import THREE_GROUP_PARAMS, brute_force_nondominated
 
 
 def single_group_spec(eta_const=0.1, B=101):
@@ -74,10 +74,10 @@ class TestScenarioFile:
         with pytest.raises(InputError, match="bogus"):
             load_scenario(path)
 
-    def test_three_group_round_trip(self, three_group_spec, tmp_path):
+    def test_three_group_round_trip(self, tmp_path):
         path = tmp_path / "scenario.txt"
-        save_scenario(three_group_spec.params, path)
-        assert load_scenario(path) == three_group_spec.params
+        save_scenario(THREE_GROUP_PARAMS, path)
+        assert load_scenario(path) == THREE_GROUP_PARAMS
 
     @pytest.mark.parametrize(
         "text, where",

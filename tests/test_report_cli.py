@@ -17,6 +17,7 @@ from paretofair.report import (
     save_metrics_csv,
 )
 from paretofair.risk import InputError
+from conftest import THREE_GROUP_PARAMS
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +272,12 @@ class TestCliCommands:
         [
             ("0.1,0,0\n0.2,1,2\n", "group 1 has no samples"),
             ("0.1,0,0\nnan,1,0\n", "features contain non-finite values"),
+            # targets 0 and 40 only: no model with 41 output units gets built
+            pytest.param(
+                "".join(f"{i / 60},{40 * (i % 2)},{i % 3 % 2}\n" for i in range(60)),
+                "class 1 has no samples",
+                id="60 rows of classes 0 and 40",
+            ),
         ],
     )
     def test_train_data_errors_name_the_file(self, tmp_path, capsys, rows, message):
@@ -278,6 +285,30 @@ class TestCliCommands:
         path.write_text("f0,target,group\n" + rows)
         assert cli.main(["train", "--data", str(path), "--out", str(tmp_path / "run")]) == 1
         assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_three_groups_end_to_end(self, tmp_path):
+        scenario = tmp_path / "scenario.txt"
+        save_scenario(THREE_GROUP_PARAMS, scenario)
+        oracle_out = tmp_path / "oracle"
+        assert cli.main(["oracle", "--scenario", str(scenario), "--num-lambda", "101", "--out", str(oracle_out)]) == 0
+        front_header = (oracle_out / "front.csv").read_text().splitlines()[0]
+        assert front_header == "lambda_0,lambda_1,lambda_2,r_0,r_1,r_2,max_gap,mean_risk"
+        refs_header = (oracle_out / "reference_points.csv").read_text().splitlines()[0]
+        assert refs_header == "name,r_0,r_1,r_2,max_gap"
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 900\nhidden = 4\nmax_epochs = 2\npatience = 1\nmax_outer_iters = 3\n")
+        out = tmp_path / "run"
+        assert cli.main([
+            "train", "--config", str(cfg), "--scenario", str(scenario),
+            "--method", "paretofair", "--seed", "0", "--out", str(out),
+        ]) == 0
+        trace_header = (out / "trace.csv").read_text().splitlines()[0]
+        assert trace_header == "iter,accepted,lr,gamma,c,mu_0,mu_1,mu_2,r_0,r_1,r_2,max_gap"
+        method, groups, _ = load_metrics_csv(out / "metrics.csv")
+        assert method == "paretofair"
+        assert list(groups) == ["g0", "g1", "g2"]
 
     def test_report_no_inputs_fails(self, capsys):
         assert cli.main(["report"]) == 1
