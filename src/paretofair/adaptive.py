@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from paretofair.data import GroupedDataset, write_table
-from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
+from paretofair.model import MLPClassifier, TrainConfig, _check_field, _is_int, sgd_early_stop
 from paretofair.risk import (
     InputError,
     RiskVector,
@@ -66,12 +66,16 @@ class PFHyperparams:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.mu_init <= 0:
-            raise InputError("mu_init must be positive")
-        if self.k <= 1:
-            raise InputError("k must be > 1 so that c stays below min group risk")
-        if not (self.gamma0 > 0 and 0 < self.xi < 1 and 0 < self.zeta < 1):
-            raise InputError("need gamma0 > 0, xi and zeta in (0,1)")
+        _check_field(self, "mu_init", 0 < self.mu_init < np.inf, "finite and positive")
+        # k > 1 keeps c = min risk / k below the smallest group risk
+        _check_field(self, "k", 1 < self.k < np.inf, "finite and > 1")
+        _check_field(self, "gamma0", 0 < self.gamma0 < np.inf, "finite and positive")
+        _check_field(self, "xi", 0 < self.xi < 1, "in (0, 1)")
+        _check_field(self, "zeta", 0 < self.zeta < 1, "in (0, 1)")
+        for name in ("max_outer_iters", "max_consecutive_rejects"):
+            value = getattr(self, name)
+            _check_field(self, name, _is_int(value) and value >= 1, "an integer >= 1")
+        _check_field(self, "lr_min", self.lr_min >= 0, "nonnegative")
 
 
 @dataclass

@@ -102,6 +102,9 @@ def cmd_train(args) -> int:
     cfg = build_config(args.config, overrides)
     if cfg.method not in ("naive", "rebalanced", "paretofair"):
         raise ValueError(f"unknown method '{cfg.method}'")
+    # every trainer setting is checked before any data is loaded or written
+    tc = TrainConfig(**_shared_fields(TrainConfig, cfg))
+    hp = adaptive.PFHyperparams(**_shared_fields(adaptive.PFHyperparams, cfg), train=tc)
     ds = _load_experiment_data(cfg)
     # the output layer has one unit per label up to the largest
     empty = _first_empty(ds.targets)
@@ -110,14 +113,12 @@ def cmd_train(args) -> int:
     train, val, test = split_dataset(ds, cfg.split, seed=cfg.seed)
     dims = [ds.dim, *cfg.hidden, ds.num_classes]
     model = MLPClassifier(dims, activation=cfg.activation, seed=cfg.seed)
-    tc = TrainConfig(**_shared_fields(TrainConfig, cfg))
     os.makedirs(cfg.out, exist_ok=True)
     if cfg.method == "naive":
         baselines.train_naive(model, train, val, tc, cfg.loss)
     elif cfg.method == "rebalanced":
         baselines.train_rebalanced(model, train, val, tc, cfg.loss)
     else:
-        hp = adaptive.PFHyperparams(**_shared_fields(adaptive.PFHyperparams, cfg), train=tc)
         _model, trace = adaptive.pareto_fair_optimize(train, val, model, hp, cfg.loss)
         adaptive.write_trace_csv(trace, os.path.join(cfg.out, "trace.csv"))
     save_checkpoint(model, os.path.join(cfg.out, "model.ckpt"))

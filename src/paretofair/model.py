@@ -8,14 +8,25 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from paretofair.data import GroupedDataset
-from paretofair.risk import CLAMP, InputError, RiskVector, group_means, group_risks, sample_losses
+from paretofair.risk import CLAMP, InputError, RiskVector, _check_targets, group_means, group_risks, sample_losses
 
 ACTIVATIONS = ("relu", "tanh")
 _CKPT_MAGIC = b"PFCKPT1\n"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_field(obj, name: str, ok: bool, rule: str):
+    """InputError naming the field ``name`` of ``obj`` and its value, unless ``ok``."""
+    if not ok:
+        raise InputError(f"{name} must be {rule}, got {getattr(obj, name)!r}")
 
 
 @dataclass
@@ -30,12 +41,13 @@ class TrainConfig:
     stratified: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise InputError("lr must be positive")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise InputError("batch_size and max_epochs must be positive")
-        if not 0 <= self.patience <= self.max_epochs:
-            raise InputError("patience must be in [0, max_epochs]")
+        _check_field(self, "lr", 0 < self.lr < np.inf, "finite and positive")
+        _check_field(self, "batch_size", _is_int(self.batch_size) and self.batch_size >= 1, "an integer >= 1")
+        _check_field(self, "max_epochs", _is_int(self.max_epochs) and self.max_epochs >= 1, "an integer >= 1")
+        _check_field(
+            self, "patience", _is_int(self.patience) and 0 <= self.patience <= self.max_epochs,
+            "an integer in [0, max_epochs]",
+        )
 
 
 class MLPClassifier:
@@ -84,7 +96,7 @@ class MLPClassifier:
 
     def _act_grad(self, z, h):
         if self.activation == "relu":
-            return (z > 0).astype(float)
+            return z > 0  # a bool mask: the products are the floats a 0.0/1.0 copy gives
         return 1.0 - h * h
 
     def _forward_cached(self, X):
@@ -104,12 +116,15 @@ class MLPClassifier:
         probs = e / e.sum(axis=1, keepdims=True)
         return hs, zs, probs
 
-    def forward(self, X) -> np.ndarray:
-        """Class probabilities, one simplex row per input row."""
+    def _check_input(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.layer_dims[0]:
             raise InputError(f"expected input of width {self.layer_dims[0]}, got shape {X.shape}")
-        return self._forward_cached(X)[2]
+        return X
+
+    def forward(self, X) -> np.ndarray:
+        """Class probabilities, one simplex row per input row."""
+        return self._forward_cached(self._check_input(X))[2]
 
     def decisions(self, X) -> np.ndarray:
         return np.argmax(self.forward(X), axis=1)
@@ -135,17 +150,27 @@ def _loss_grad_probs(probs, targets, loss):
 def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = "brier"):
     """Exact gradient of sum_i w_i l_i / sum_i w_i with respect to all parameters.
 
+    ``sample_weights`` holds one finite nonnegative weight per row of ``X``, or
+    is a function that returns them from the rows' per-sample losses. The
+    function sees the losses of the forward pass the gradient itself uses, so
+    loss-dependent weights cost one forward and one backward pass in all.
+
     Returns (grad_weights, grad_biases) matching model parameter shapes.
     """
-    X = np.asarray(X, dtype=float)
-    targets = np.asarray(targets, dtype=int)
+    X = model._check_input(X)
+    n = X.shape[0]
+    targets = _check_targets(targets, n, model.num_classes)
+    hs, zs, probs = model._forward_cached(X)
+    if callable(sample_weights):
+        sample_weights = sample_weights(sample_losses(probs, targets, loss))
     w = np.asarray(sample_weights, dtype=float)
-    if np.any(w < 0):
-        raise InputError("sample weights must be nonnegative")
+    if w.shape != (n,):
+        raise InputError(f"sample weights have shape {w.shape}, expected one per row ({n},)")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise InputError("sample weights must be finite and nonnegative")
     wsum = float(w.sum())
     if wsum <= 0:
         raise InputError("sample weights must not all be zero")
-    hs, zs, probs = model._forward_cached(X)
     dl_dp = _loss_grad_probs(probs, targets, loss)
     # softmax Jacobian: dl/dz_k = p_k (g_k - sum_j g_j p_j)
     inner = np.sum(dl_dp * probs, axis=1, keepdims=True)
@@ -161,11 +186,11 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
     return grad_W, grad_b
 
 
-def _stratified_batch(rng, group_indices, batch_size):
-    G = len(group_indices)
-    per = -(-batch_size // G)  # ceil
-    parts = [idx[rng.integers(0, len(idx), size=per)] for idx in group_indices]
-    return np.concatenate(parts)
+def _rule_weights(weight_rule, groups, G: int, losses) -> np.ndarray:
+    """Per-sample weights of one minibatch: its group risks mapped through ``weight_rule``."""
+    r_hat, counts = group_means(losses, groups, G)
+    w_groups = np.asarray(weight_rule(RiskVector(risks=r_hat, counts=counts)), dtype=float)
+    return np.where(counts > 0, w_groups, 1.0)[groups]
 
 
 def sgd_early_stop(
@@ -179,10 +204,14 @@ def sgd_early_stop(
 ):
     """Minibatch SGD with group-dependent sample weights and early stopping.
 
-    Each minibatch estimates per-group risks from its own forward pass, maps
-    them through ``weight_rule`` to G weights, and applies those as sample
-    weights in the gradient. After each epoch the ``objective`` (a function of
-    the validation RiskVector) is evaluated; the best parameters seen are
+    Each minibatch estimates per-group risks, maps them through
+    ``weight_rule`` to G weights, and applies those as sample weights in the
+    gradient. The risks come from the forward pass of the gradient itself
+    (``weighted_grad`` takes the weights as a function of the batch's
+    losses), so a step runs one forward and one backward pass. Stratified
+    batches take ceil(batch_size / G) rows of each group, drawn with
+    replacement. After each epoch the ``objective`` (a function of the
+    validation RiskVector) is evaluated; the best parameters seen are
     restored at the end. Training stops once ``patience`` consecutive epochs
     bring no improvement, or at ``max_epochs``.
 
@@ -191,9 +220,18 @@ def sgd_early_stop(
     """
     rng = np.random.default_rng(config.seed)
     G = train.num_groups
-    group_indices = [np.flatnonzero(train.groups == a) for a in range(G)]
     n = train.n
     n_batches = -(-n // config.batch_size)
+    if config.stratified:
+        # A stratified batch holds ``per`` rows of group 0, then of group 1, and
+        # so on, indexing the training rows sorted by group. One draw per epoch
+        # bounds each row by its group's size, so the draws, and the generator
+        # state after them, equal those of one rng.integers call per group per
+        # batch.
+        per = -(-config.batch_size // G)
+        pool = np.argsort(train.groups, kind="stable")
+        sizes = np.bincount(train.groups, minlength=G)
+        starts = np.cumsum(sizes) - sizes
 
     best_obj = np.inf
     best_params = model.get_params()
@@ -202,18 +240,15 @@ def sgd_early_stop(
 
     for _epoch in range(config.max_epochs):
         if config.stratified:
-            batches = [_stratified_batch(rng, group_indices, config.batch_size) for _ in range(n_batches)]
+            draws = rng.integers(0, sizes[:, None], size=(n_batches, G, per)) + starts[:, None]
+            batches = pool[draws].reshape(n_batches, G * per)
         else:
             order = rng.permutation(n)
             batches = [order[j : j + config.batch_size] for j in range(0, n, config.batch_size)]
         for idx in batches:
-            X = train.features[idx]
-            y = train.targets[idx]
             a = train.groups[idx]
-            r_hat, counts = group_means(sample_losses(model.forward(X), y, loss), a, G)
-            w_groups = np.asarray(weight_rule(RiskVector(risks=r_hat, counts=counts)), dtype=float)
-            sw = np.where(counts > 0, w_groups, 1.0)[a]
-            gW, gb = weighted_grad(model, X, y, sw, loss)
+            sw = partial(_rule_weights, weight_rule, a, G)
+            gW, gb = weighted_grad(model, train.features[idx], train.targets[idx], sw, loss)
             for W, g_ in zip(model.weights, gW):
                 W -= config.lr * g_
             for b, g_ in zip(model.biases, gb):

@@ -33,6 +33,16 @@ class RiskVector:
         return self.risks.shape[0]
 
 
+def _check_targets(targets, n: int, C: int) -> np.ndarray:
+    """``targets`` as n integer class labels in [0, C), or InputError."""
+    targets = np.asarray(targets, dtype=int)
+    if targets.shape != (n,):
+        raise InputError("targets length does not match the number of rows")
+    if targets.min(initial=0) < 0 or targets.max(initial=0) >= C:
+        raise InputError("target label out of range")
+    return targets
+
+
 def sample_losses(probs: np.ndarray, targets: np.ndarray, loss: str = "brier") -> np.ndarray:
     """Per-sample losses for an n x C probability matrix and n target labels.
 
@@ -40,12 +50,8 @@ def sample_losses(probs: np.ndarray, targets: np.ndarray, loss: str = "brier") -
     range [0, 2]. ``cross_entropy``: -log p_target, clamped away from 0 and 1.
     """
     probs = np.asarray(probs, dtype=float)
-    targets = np.asarray(targets, dtype=int)
     n, C = probs.shape
-    if targets.shape != (n,):
-        raise InputError("targets length does not match probability rows")
-    if targets.min(initial=0) < 0 or targets.max(initial=0) >= C:
-        raise InputError("target label out of range")
+    targets = _check_targets(targets, n, C)
     if loss == "brier":
         onehot = np.zeros((n, C))
         onehot[np.arange(n), targets] = 1.0

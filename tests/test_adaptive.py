@@ -55,6 +55,30 @@ class TestAdaptiveLoss:
             assert adaptive_loss(bumped, mu, c) > base
 
 
+class TestHyperparams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mu_init", float("nan")),
+            ("mu_init", float("inf")),
+            ("mu_init", 0.0),
+            ("k", float("nan")),
+            ("k", 1.0),
+            ("gamma0", float("inf")),
+            ("xi", 1.0),
+            ("zeta", float("nan")),
+            ("max_outer_iters", 0),
+            ("max_outer_iters", 2.5),
+            ("max_consecutive_rejects", 0),
+            ("lr_min", -1.0),
+            ("lr_min", float("nan")),
+        ],
+    )
+    def test_out_of_range_setting_names_the_field(self, field, value):
+        with pytest.raises(InputError, match=f"^{field} must be .*, got {value!r}$"):
+            PFHyperparams(**{field: value})
+
+
 class TestGroupWeights:
     def test_zero_mu_gives_ones(self):
         assert np.allclose(group_weights([0.4, 0.9], [0.0, 0.0], 0.1), 1.0)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from paretofair import model as model_module
+from paretofair.adaptive import group_weights
 from paretofair.data import GroupedDataset
 from paretofair.model import (
     MLPClassifier,
@@ -12,7 +14,7 @@ from paretofair.model import (
     sgd_early_stop,
     weighted_grad,
 )
-from paretofair.risk import InputError, RiskVector, sample_losses
+from paretofair.risk import InputError, RiskVector, group_means, group_risks, sample_losses
 
 
 def finite_diff_grads(model, X, y, w, loss, step=1e-5):
@@ -157,6 +159,47 @@ class TestWeightedGrad:
         with pytest.raises(InputError):
             weighted_grad(m, [[1.0, 2.0]], [0], [0.0])
 
+    @pytest.mark.parametrize(
+        "X, targets, weights, message",
+        [
+            ([[1.0, 2.0]], [-1], [1.0], "target label out of range"),
+            ([[1.0, 2.0]], [2], [1.0], "target label out of range"),
+            ([[1.0, 2.0], [0.5, 0.0]], [1], [1.0, 1.0], "targets length"),
+            ([[1.0, 2.0]], [0], [1.0, 1.0], "one per row"),
+            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, np.nan], "finite"),
+            ([[1.0, 2.0]], [0], [np.inf], "finite"),
+            ([[1.0]], [0], [1.0], "input of width 2"),
+        ],
+    )
+    def test_bad_input_rejected(self, X, targets, weights, message):
+        m = MLPClassifier([2, 3, 2], seed=0)
+        with pytest.raises(InputError, match=message):
+            weighted_grad(m, X, targets, weights)
+
+    def test_bad_weights_from_a_function_rejected(self):
+        m = MLPClassifier([2, 2])
+        with pytest.raises(InputError, match="one per row"):
+            weighted_grad(m, [[1.0, 2.0]], [0], lambda losses: np.ones(2))
+
+    @pytest.mark.parametrize("loss", ["brier", "cross_entropy"])
+    def test_weight_function_matches_its_array_bitwise(self, loss):
+        rng = np.random.default_rng(8)
+        m = MLPClassifier([3, 5, 3], seed=6)
+        X = rng.standard_normal((12, 3))
+        y = rng.integers(0, 3, 12)
+        seen = []
+
+        def weights_of(losses):
+            seen.append(losses)
+            return 1.0 + 3.0 * losses**2
+
+        g_fn = weighted_grad(m, X, y, weights_of, loss)
+        losses = sample_losses(m.forward(X), y, loss)
+        g_arr = weighted_grad(m, X, y, weights_of(losses), loss)
+        assert np.array_equal(seen[0], losses)
+        for a, b in zip(g_fn[0] + g_fn[1], g_arr[0] + g_arr[1]):
+            assert np.array_equal(a, b)
+
 
 def separable_dataset(n=40, seed=0):
     rng = np.random.default_rng(seed)
@@ -173,6 +216,31 @@ def uniform_rule(r: RiskVector):
 
 def mean_objective(r: RiskVector):
     return float(r.risks.mean())
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("lr", 0.0),
+            ("batch_size", 2.5),
+            ("batch_size", 0),
+            ("max_epochs", 0),
+            ("max_epochs", True),
+            ("patience", 1.5),
+            ("patience", -1),
+            ("patience", 61),
+        ],
+    )
+    def test_out_of_range_setting_names_the_field(self, field, value):
+        with pytest.raises(InputError, match=f"^{field} must be .*, got {value!r}$"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(batch_size=np.int64(32), max_epochs=np.int32(3), patience=np.int64(0))
+        assert cfg.batch_size == 32
 
 
 class TestSgdEarlyStop:
@@ -248,6 +316,88 @@ class TestSgdEarlyStop:
 
         final = mean_objective(group_risks(model.forward(val.features), val.targets, val.groups))
         assert final == pytest.approx(best)
+
+
+def grouped_dataset(n, G, seed):
+    """n rows in G groups of unequal size, two classes with group-dependent overlap."""
+    rng = np.random.default_rng(seed)
+    groups = rng.choice(G, size=n, p=np.arange(1, G + 1) / (G * (G + 1) / 2))
+    y = rng.integers(0, 2, n)
+    X = rng.normal((2.0 * y - 1.0) * (1.0 + groups), 1.0)[:, None]
+    return GroupedDataset(features=X, targets=y, groups=groups)
+
+
+def reference_stratified_sgd(model, train, val, objective, weight_rule, cfg, loss):
+    """sgd_early_stop's stratified path written out plainly: one draw per group per
+    batch, the group risks from a separate forward pass, array sample weights."""
+    rng = np.random.default_rng(cfg.seed)
+    G = train.num_groups
+    group_indices = [np.flatnonzero(train.groups == a) for a in range(G)]
+    per = -(-cfg.batch_size // G)
+    best, best_obj = model.get_params(), np.inf
+    for _ in range(cfg.max_epochs):
+        for _ in range(-(-train.n // cfg.batch_size)):
+            idx = np.concatenate([g[rng.integers(0, len(g), size=per)] for g in group_indices])
+            X, y, a = train.features[idx], train.targets[idx], train.groups[idx]
+            r_hat, counts = group_means(sample_losses(model.forward(X), y, loss), a, G)
+            w = np.asarray(weight_rule(RiskVector(risks=r_hat, counts=counts)))[a]
+            gW, gb = weighted_grad(model, X, y, w, loss)
+            for W, g in zip(model.weights, gW):
+                W -= cfg.lr * g
+            for b, g in zip(model.biases, gb):
+                b -= cfg.lr * g
+        obj = objective(group_risks(model.forward(val.features), val.targets, val.groups, loss))
+        if obj < best_obj:
+            best_obj, best = obj, model.get_params()
+    model.set_params(best)
+    return best_obj
+
+
+class TestStratifiedSgd:
+    @pytest.mark.parametrize(
+        "G, batch_size, loss",
+        [(2, 16, "brier"), (3, 13, "brier"), (3, 13, "cross_entropy")],  # 8 and 5 rows per group
+    )
+    def test_matches_per_group_draws_bitwise(self, G, batch_size, loss):
+        train, val = grouped_dataset(150, G, seed=1), grouped_dataset(90, G, seed=2)
+        mu = np.linspace(0.5, 4.0, G)  # unequal multipliers give unequal group weights
+        c = 0.05
+
+        def objective(r):
+            return float(r.risks.mean())
+
+        def weight_rule(r):
+            return group_weights(r, mu, c)
+
+        cfg = TrainConfig(lr=0.3, batch_size=batch_size, max_epochs=4, patience=4, seed=11)
+        model = MLPClassifier([1, 4, 2], seed=3)
+        model, best_obj, _ = sgd_early_stop(model, train, val, objective, weight_rule, cfg, loss)
+        ref = MLPClassifier([1, 4, 2], seed=3)
+        ref_obj = reference_stratified_sgd(ref, train, val, objective, weight_rule, cfg, loss)
+        assert best_obj == ref_obj
+        for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
+            assert np.array_equal(a, b)
+
+    def test_one_forward_pass_per_minibatch(self, monkeypatch):
+        train, val = grouped_dataset(100, 2, seed=1), grouped_dataset(40, 2, seed=2)
+        cfg = TrainConfig(lr=0.1, batch_size=16, max_epochs=3, patience=3, seed=0)
+        passes, grads = [], []
+        real_forward, real_grad = MLPClassifier._forward_cached, model_module.weighted_grad
+
+        def counting_forward(self, X):
+            passes.append(len(X))
+            return real_forward(self, X)
+
+        def counting_grad(*args):
+            grads.append(len(args[1]))
+            return real_grad(*args)
+
+        monkeypatch.setattr(MLPClassifier, "_forward_cached", counting_forward)
+        monkeypatch.setattr(model_module, "weighted_grad", counting_grad)
+        _, _, epochs = sgd_early_stop(MLPClassifier([1, 2], seed=0), train, val, mean_objective, uniform_rule, cfg)
+        steps = epochs * -(-train.n // cfg.batch_size)
+        assert grads == [16] * steps  # every step goes through the module-level weighted_grad
+        assert len(passes) == steps + epochs  # one per step, one per validation
 
 
 class TestCheckpoint:

@@ -287,6 +287,19 @@ class TestCliCommands:
         assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("lr = nan", "lr must be finite and positive, got nan"),
+        ("max_outer_iters = 0", "max_outer_iters must be an integer >= 1, got 0"),
+    ])
+    def test_train_bad_setting_names_the_field(self, scenario_file, tmp_path, capsys, line, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n = 300\nhidden = 4\nmax_epochs = 2\npatience = 1\n{line}\n")
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(cfg), "--scenario", scenario_file, "--method", "paretofair", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.strip() == f"paretofair train: error: {message}"
+        assert not (out / "model.ckpt").exists()
+
     def test_three_groups_end_to_end(self, tmp_path):
         scenario = tmp_path / "scenario.txt"
         save_scenario(THREE_GROUP_PARAMS, scenario)
