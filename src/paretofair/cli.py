@@ -16,8 +16,12 @@ import numpy as np
 
 from paretofair import adaptive, baselines, oracle, report
 from paretofair.data import GroupedDataset, _first_empty, load_csv, load_key_values, save_csv, split_dataset
-from paretofair.model import MLPClassifier, TrainConfig, load_checkpoint, save_checkpoint
-from paretofair.risk import InputError
+from paretofair.model import (
+    ACTIVATIONS, MLPClassifier, TrainConfig, _check_field, _is_int, load_checkpoint, save_checkpoint,
+)
+from paretofair.risk import LOSSES, InputError
+
+METHODS = ("naive", "rebalanced", "paretofair")
 
 
 @dataclass
@@ -48,6 +52,17 @@ class ExperimentConfig:
     max_outer_iters: int = adaptive.PFHyperparams.max_outer_iters
     max_consecutive_rejects: int = adaptive.PFHyperparams.max_consecutive_rejects
     lr_min: float = adaptive.PFHyperparams.lr_min
+
+    def __post_init__(self):
+        # the trainer settings are checked by TrainConfig and PFHyperparams
+        _check_field(self, "method", self.method in METHODS, f"one of {METHODS}")
+        _check_field(self, "loss", self.loss in LOSSES, f"one of {LOSSES}")
+        _check_field(self, "activation", self.activation in ACTIVATIONS, f"one of {ACTIVATIONS}")
+        _check_field(self, "hidden", all(_is_int(w) and w >= 1 for w in self.hidden), "integer widths >= 1")
+        _check_field(self, "n", _is_int(self.n) and self.n >= 1, "an integer >= 1")
+        # the checkpoint stores the seed as an int64
+        _check_field(self, "seed", _is_int(self.seed) and 0 <= self.seed < 2**63, "an integer in [0, 2**63)")
+        _check_field(self, "split", len(self.split) == 3, "three fractions (train, validation, test)")
 
 
 def build_config(path, overrides: dict) -> ExperimentConfig:
@@ -99,10 +114,8 @@ def cmd_oracle(args) -> int:
 def cmd_train(args) -> int:
     overrides = {"scenario": args.scenario, "data": args.data, "method": args.method,
                  "seed": args.seed, "out": args.out}
+    # every setting is checked before any data is loaded or written
     cfg = build_config(args.config, overrides)
-    if cfg.method not in ("naive", "rebalanced", "paretofair"):
-        raise ValueError(f"unknown method '{cfg.method}'")
-    # every trainer setting is checked before any data is loaded or written
     tc = TrainConfig(**_shared_fields(TrainConfig, cfg))
     hp = adaptive.PFHyperparams(**_shared_fields(adaptive.PFHyperparams, cfg), train=tc)
     ds = _load_experiment_data(cfg)
@@ -122,7 +135,7 @@ def cmd_train(args) -> int:
         _model, trace = adaptive.pareto_fair_optimize(train, val, model, hp, cfg.loss)
         adaptive.write_trace_csv(trace, os.path.join(cfg.out, "trace.csv"))
     save_checkpoint(model, os.path.join(cfg.out, "model.ckpt"))
-    metrics = report.compute_metrics(model, test, cfg.method)
+    metrics = report.compute_metrics(model.forward(test.features), test, cfg.method)
     metrics_path = os.path.join(cfg.out, "metrics.csv")
     report.save_metrics_csv(metrics, metrics_path)
     print(f"{cfg.method}: test brier per group {np.array2string(metrics.brier, precision=4)} -> {metrics_path}")
@@ -139,9 +152,10 @@ def cmd_postproc(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     baselines.save_rule_csv(rule, os.path.join(args.out, "rule.csv"))
-    base = model.decisions(holdout.features)
+    probs = model.forward(holdout.features)
+    base = probs.argmax(axis=1)
     post = baselines.apply_rule(rule, base, holdout.groups, seed=args.seed)
-    pre_metrics = report.compute_metrics(model, holdout, "pre_rule")
+    pre_metrics = report.compute_metrics(probs, holdout, "pre_rule")
     post_metrics = report.metrics_from_decisions(post, holdout, pre_metrics.brier, "post_rule")
     report.save_metrics_csv(pre_metrics, os.path.join(args.out, "metrics_pre.csv"))
     report.save_metrics_csv(post_metrics, os.path.join(args.out, "metrics_post.csv"))
@@ -181,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", default=None)
     s.add_argument("--scenario", default=None)
     s.add_argument("--data", default=None)
-    s.add_argument("--method", default=None, choices=["naive", "rebalanced", "paretofair"])
+    s.add_argument("--method", default=None, choices=METHODS)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_train)

@@ -220,7 +220,8 @@ def load_key_values(path, cls):
     One key per line; '#' starts a comment. Each value is coerced by the type
     of its field's default: int, float, a comma-separated tuple of the type of
     the default's first item (empty items dropped, so ``hidden =`` is ``()``),
-    or else str. Errors name ``path:line``.
+    or else str. Errors name ``path:line``, or ``path`` when the class's own
+    checks reject a value.
     """
     defaults = {f.name: f.default for f in fields(cls)}
     values = {}
@@ -248,4 +249,7 @@ def load_key_values(path, cls):
                 values[key] = text
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {key}: {exc}") from None
-    return cls(**values)
+    try:
+        return cls(**values)
+    except InputError as exc:  # a value the class's own checks reject
+        raise InputError(f"{path}: {exc}") from None

@@ -91,30 +91,38 @@ class MLPClassifier:
 
     # -- forward ---------------------------------------------------------------
 
-    def _act(self, z):
-        return np.maximum(z, 0.0) if self.activation == "relu" else np.tanh(z)
-
-    def _act_grad(self, z, h):
+    def _act_grad(self, h):
+        """The activation's derivative, from the activation ``h`` it produced."""
         if self.activation == "relu":
-            return z > 0  # a bool mask: the products are the floats a 0.0/1.0 copy gives
+            # h = max(z, 0), so h > 0 is exactly z > 0 (NaN and -0.0 give False
+            # both ways); a bool mask gives the products a 0.0/1.0 copy gives
+            return h > 0
         return 1.0 - h * h
 
-    def _forward_cached(self, X):
-        hs = [X]
-        zs = []
+    def _forward_cached(self, X, hs=None):
+        """Class probabilities of the rows of ``X``: the one layer loop.
+
+        Each layer computes ``h @ W``, adds ``b`` in place and, if hidden,
+        applies the activation in place, so at most two hidden activations
+        are alive at once. If ``hs`` is a list, each layer's input (``X``,
+        then each hidden activation) is appended to it: those are all the
+        backward pass needs.
+        """
         h = X
-        L = len(self.weights)
+        last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W + b
-            zs.append(z)
-            if i < L - 1:
-                h = self._act(z)
+            if hs is not None:
                 hs.append(h)
-        logits = zs[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
+            h = h @ W
+            h += b
+            if i < last:
+                if self.activation == "relu":
+                    np.maximum(h, 0.0, out=h)
+                else:
+                    np.tanh(h, out=h)
+        shifted = h - h.max(axis=1, keepdims=True)
         e = np.exp(shifted)
-        probs = e / e.sum(axis=1, keepdims=True)
-        return hs, zs, probs
+        return e / e.sum(axis=1, keepdims=True)
 
     def _check_input(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -123,8 +131,12 @@ class MLPClassifier:
         return X
 
     def forward(self, X) -> np.ndarray:
-        """Class probabilities, one simplex row per input row."""
-        return self._forward_cached(self._check_input(X))[2]
+        """Class probabilities, one simplex row per input row.
+
+        Keeps no activation beyond the layer being computed, so a forward
+        pass over n rows holds at most two n-by-width hidden activations.
+        """
+        return self._forward_cached(self._check_input(X))
 
     def decisions(self, X) -> np.ndarray:
         return np.argmax(self.forward(X), axis=1)
@@ -160,7 +172,8 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
     X = model._check_input(X)
     n = X.shape[0]
     targets = _check_targets(targets, n, model.num_classes)
-    hs, zs, probs = model._forward_cached(X)
+    hs = []
+    probs = model._forward_cached(X, hs)
     if callable(sample_weights):
         sample_weights = sample_weights(sample_losses(probs, targets, loss))
     w = np.asarray(sample_weights, dtype=float)
@@ -182,7 +195,7 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
         grad_W[i] = hs[i].T @ delta
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * model._act_grad(zs[i - 1], hs[i])
+            delta = (delta @ model.weights[i].T) * model._act_grad(hs[i])
     return grad_W, grad_b
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from paretofair.data import GroupedDataset, exact_header, read_table, write_table
-from paretofair.model import MLPClassifier
 from paretofair.risk import InputError, group_means, group_risks, metric_summary
 
 SUMMARY_ROWS = ("__sample_mean", "__group_mean", "__discrepancy")
@@ -28,8 +27,12 @@ class MethodMetrics:
     counts: np.ndarray
 
 
-def compute_metrics(model: MLPClassifier, test: GroupedDataset, method: str) -> MethodMetrics:
-    probs = model.forward(test.features)
+def compute_metrics(probs, test: GroupedDataset, method: str) -> MethodMetrics:
+    """Per-group accuracy and Brier risk of the class probabilities ``probs``.
+
+    ``probs`` holds one row per row of ``test``, as ``MLPClassifier.forward``
+    gives them; the caller scores the set once and may reuse the scores.
+    """
     r = group_risks(probs, test.targets, test.groups, "brier")
     acc, _counts = group_means(np.argmax(probs, axis=1) == test.targets, test.groups, test.num_groups)
     return MethodMetrics(

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CLAMP = 1e-12
+LOSSES = ("brier", "cross_entropy")
 
 
 class InputError(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,75 @@ class TestWeightedGrad:
             assert np.array_equal(a, b)
 
 
+def reference_forward_and_grad(m, X, y, w, loss):
+    """The layer loop written out plainly: it keeps every z = h @ W + b and
+    every activation, and masks relu by z > 0. Returns (probs, gW, gb)."""
+    L = len(m.weights)
+    hs, zs = [X], []
+    for i, (W, b) in enumerate(zip(m.weights, m.biases)):
+        z = hs[-1] @ W + b
+        zs.append(z)
+        if i < L - 1:
+            hs.append(np.maximum(z, 0.0) if m.activation == "relu" else np.tanh(z))
+    shifted = zs[-1] - zs[-1].max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    dl_dp = model_module._loss_grad_probs(probs, y, loss)
+    inner = np.sum(dl_dp * probs, axis=1, keepdims=True)
+    delta = probs * (dl_dp - inner)
+    delta *= (w / float(w.sum()))[:, None]
+    gW, gb = [None] * L, [None] * L
+    for i in range(L - 1, -1, -1):
+        gW[i] = hs[i].T @ delta
+        gb[i] = delta.sum(axis=0)
+        if i > 0:
+            act_grad = zs[i - 1] > 0 if m.activation == "relu" else 1.0 - hs[i] * hs[i]
+            delta = (delta @ m.weights[i].T) * act_grad
+    return probs, gW, gb
+
+
+class TestLayerLoop:
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("loss", ["brier", "cross_entropy"])
+    @pytest.mark.parametrize("case", ["random", "one row", "zero pre-activations"])
+    def test_matches_plain_reference_bitwise(self, activation, loss, case):
+        rng = np.random.default_rng(12)
+        m = MLPClassifier([3, 6, 5, 2], activation=activation, seed=4)
+        n = 1 if case == "one row" else 16
+        X = rng.standard_normal((n, 3))
+        if case == "zero pre-activations":
+            # zero biases: every z of a zero row is 0.0, and so is every z of a
+            # unit whose incoming weights are zero
+            X[::2] = 0.0
+            m.weights[0][:, 1] = 0.0
+            m.weights[1][:, 3] = 0.0
+        else:
+            for b in m.biases:
+                b[...] = rng.standard_normal(b.shape)
+        y = rng.integers(0, 2, n)
+        w = rng.uniform(0.5, 3.0, n)
+        probs, gW, gb = reference_forward_and_grad(m, X, y, w, loss)
+        if case == "zero pre-activations":
+            assert np.any(X @ m.weights[0] == 0.0)
+        assert np.array_equal(m.forward(X), probs)
+        got_W, got_b = weighted_grad(m, X, y, w, loss)
+        for a, b in zip(got_W + got_b, gW + gb):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_forward_holds_at_most_two_hidden_activations(self, activation):
+        m = MLPClassifier([1, 64, 64, 2], activation=activation, seed=0)
+        X = np.random.default_rng(0).standard_normal((20000, 1))
+        hidden_bytes = X.shape[0] * 64 * 8
+        tracemalloc.start()
+        try:
+            m.forward(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * hidden_bytes, f"peak {peak / hidden_bytes:.2f} hidden activations"
+
+
 def separable_dataset(n=40, seed=0):
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -384,9 +454,9 @@ class TestStratifiedSgd:
         passes, grads = [], []
         real_forward, real_grad = MLPClassifier._forward_cached, model_module.weighted_grad
 
-        def counting_forward(self, X):
+        def counting_forward(self, X, *rest):
             passes.append(len(X))
-            return real_forward(self, X)
+            return real_forward(self, X, *rest)
 
         def counting_grad(*args):
             grads.append(len(args[1]))

@@ -35,7 +35,7 @@ def small_test_set(acceptance_spec):
 class TestMetricsCsv:
     def test_round_trip(self, small_test_set, tmp_path):
         model = MLPClassifier([1, 8, 2], seed=0)
-        metrics = compute_metrics(model, small_test_set, "naive")
+        metrics = compute_metrics(model.forward(small_test_set.features), small_test_set, "naive")
         path = tmp_path / "m.csv"
         save_metrics_csv(metrics, path)
         method, groups, summary = load_metrics_csv(path)
@@ -50,7 +50,7 @@ class TestMetricsCsv:
 
     def test_discrepancy_row_matches_groups(self, small_test_set, tmp_path):
         model = MLPClassifier([1, 8, 2], seed=1)
-        metrics = compute_metrics(model, small_test_set, "m")
+        metrics = compute_metrics(model.forward(small_test_set.features), small_test_set, "m")
         path = tmp_path / "m.csv"
         save_metrics_csv(metrics, path)
         _, groups, summary = load_metrics_csv(path)
@@ -98,7 +98,7 @@ class TestCombineAndFormat:
         for i, name in enumerate(("naive", "rebalanced")):
             model = MLPClassifier([1, 8, 2], seed=i)
             p = tmp_path / f"{name}.csv"
-            save_metrics_csv(compute_metrics(model, small_test_set, name), p)
+            save_metrics_csv(compute_metrics(model.forward(small_test_set.features), small_test_set, name), p)
             paths.append(str(p))
         return paths
 
@@ -299,6 +299,29 @@ class TestCliCommands:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.strip() == f"paretofair train: error: {message}"
         assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("line, flags, message", [
+        ("", ["--seed", "-1"], "seed must be an integer in [0, 2**63), got -1"),
+        ("seed = -1", [], "seed must be an integer in [0, 2**63), got -1"),
+        # at the parent this trained and then failed writing the checkpoint
+        ("", ["--seed", str(2**63)], f"seed must be an integer in [0, 2**63), got {2**63}"),
+        ("split = 0.5, 0.5", [], "split must be three fractions (train, validation, test), got (0.5, 0.5)"),
+        ("loss = hinge", [], "loss must be one of ('brier', 'cross_entropy'), got 'hinge'"),
+        ("hidden = 0", [], "hidden must be integer widths >= 1, got (0,)"),
+        ("hidden = 8, -2", [], "hidden must be integer widths >= 1, got (8, -2)"),
+        ("activation = sigmoid", [], "activation must be one of ('relu', 'tanh'), got 'sigmoid'"),
+        ("method = fancy", [], "method must be one of ('naive', 'rebalanced', 'paretofair'), got 'fancy'"),
+        ("n = 0", [], "n must be an integer >= 1, got 0"),
+    ])
+    def test_train_bad_key_fails_before_any_work(self, scenario_file, tmp_path, capsys, line, flags, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n = 300\nhidden = 4\nmax_epochs = 2\npatience = 1\n{line}\n")
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(cfg), "--scenario", scenario_file, "--out", str(out), *flags]
+        assert cli.main(argv) == 1
+        where = "" if flags else f"{cfg}: "  # a bad value in the file names the file
+        assert capsys.readouterr().err.strip() == f"paretofair train: error: {where}{message}"
+        assert not out.exists()
 
     def test_three_groups_end_to_end(self, tmp_path):
         scenario = tmp_path / "scenario.txt"
