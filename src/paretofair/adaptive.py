@@ -26,15 +26,20 @@ from paretofair.risk import (
 _EPS = 1e-12
 
 
-def adaptive_loss(r, mu, c: float) -> float:
-    """sum_a [ r_a + mu_a * ((r_a - c)^+)^2 ]."""
+def _penalty_terms(r, mu, c: float):
+    """(risks, mu, (risks - c)^+) of the adaptive loss, with mu checked against the risks."""
     risks = r.risks if isinstance(r, RiskVector) else np.asarray(r, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != risks.shape:
         raise InputError("mu length does not match number of groups")
     if np.any(mu < 0):
         raise InputError("mu entries must be nonnegative")
-    excess = np.maximum(risks - c, 0.0)
+    return risks, mu, np.maximum(risks - c, 0.0)
+
+
+def adaptive_loss(r, mu, c: float) -> float:
+    """sum_a [ r_a + mu_a * ((r_a - c)^+)^2 ]."""
+    risks, mu, excess = _penalty_terms(r, mu, c)
     return float(np.sum(risks + mu * excess**2))
 
 
@@ -44,11 +49,8 @@ def group_weights(r_hat, mu, c: float) -> np.ndarray:
     This is the derivative of ``adaptive_loss`` in each risk component, so
     weighting per-sample gradients by it optimizes the adaptive loss.
     """
-    risks = r_hat.risks if isinstance(r_hat, RiskVector) else np.asarray(r_hat, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu < 0):
-        raise InputError("mu entries must be nonnegative")
-    return 1.0 + 2.0 * mu * np.maximum(risks - c, 0.0)
+    _risks, mu, excess = _penalty_terms(r_hat, mu, c)
+    return 1.0 + 2.0 * mu * excess
 
 
 @dataclass

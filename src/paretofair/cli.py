@@ -24,9 +24,19 @@ from paretofair.risk import LOSSES, InputError
 METHODS = ("naive", "rebalanced", "paretofair")
 
 
+def _check_seed(obj):
+    """InputError naming ``obj.seed`` unless numpy and the checkpoint's int64 field both take it."""
+    _check_field(obj, "seed", _is_int(obj.seed) and 0 <= obj.seed < 2**63, "an integer in [0, 2**63)")
+
+
+def _shared_fields(cls, obj) -> dict:
+    """The fields of ``cls`` that ``obj`` also has, with their values in ``obj``."""
+    return {f.name: getattr(obj, f.name) for f in fields(cls) if hasattr(obj, f.name)}
+
+
 @dataclass
 class ExperimentConfig:
-    """Every key a ``--config`` file may set."""
+    """Every key a ``--config`` file may set; ``hp`` holds the trainer settings built from them."""
 
     scenario: str | None = None
     data: str | None = None
@@ -54,26 +64,22 @@ class ExperimentConfig:
     lr_min: float = adaptive.PFHyperparams.lr_min
 
     def __post_init__(self):
-        # the trainer settings are checked by TrainConfig and PFHyperparams
         _check_field(self, "method", self.method in METHODS, f"one of {METHODS}")
         _check_field(self, "loss", self.loss in LOSSES, f"one of {LOSSES}")
         _check_field(self, "activation", self.activation in ACTIVATIONS, f"one of {ACTIVATIONS}")
         _check_field(self, "hidden", all(_is_int(w) and w >= 1 for w in self.hidden), "integer widths >= 1")
         _check_field(self, "n", _is_int(self.n) and self.n >= 1, "an integer >= 1")
-        # the checkpoint stores the seed as an int64
-        _check_field(self, "seed", _is_int(self.seed) and 0 <= self.seed < 2**63, "an integer in [0, 2**63)")
+        _check_seed(self)
         _check_field(self, "split", len(self.split) == 3, "three fractions (train, validation, test)")
+        # the trainer settings, checked by TrainConfig and PFHyperparams
+        tc = TrainConfig(**_shared_fields(TrainConfig, self))
+        self.hp = adaptive.PFHyperparams(**_shared_fields(adaptive.PFHyperparams, self), train=tc)
 
 
 def build_config(path, overrides: dict) -> ExperimentConfig:
     """The config file's values, if there is a file, under every non-None override."""
     cfg = load_key_values(path, ExperimentConfig) if path else ExperimentConfig()
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-
-
-def _shared_fields(cls, cfg: ExperimentConfig) -> dict:
-    """The fields of ``cls`` that ExperimentConfig also has, with their values in ``cfg``."""
-    return {f.name: getattr(cfg, f.name) for f in fields(cls) if hasattr(cfg, f.name)}
 
 
 def _load_experiment_data(cfg: ExperimentConfig) -> GroupedDataset:
@@ -86,6 +92,7 @@ def _load_experiment_data(cfg: ExperimentConfig) -> GroupedDataset:
 
 
 def cmd_synth(args) -> int:
+    _check_seed(args)
     params = oracle.load_scenario(args.scenario)
     spec = oracle.make_scenario(params)
     ds = oracle.sample_dataset(spec, args.n, args.seed)
@@ -116,8 +123,6 @@ def cmd_train(args) -> int:
                  "seed": args.seed, "out": args.out}
     # every setting is checked before any data is loaded or written
     cfg = build_config(args.config, overrides)
-    tc = TrainConfig(**_shared_fields(TrainConfig, cfg))
-    hp = adaptive.PFHyperparams(**_shared_fields(adaptive.PFHyperparams, cfg), train=tc)
     ds = _load_experiment_data(cfg)
     # the output layer has one unit per label up to the largest
     empty = _first_empty(ds.targets)
@@ -128,11 +133,11 @@ def cmd_train(args) -> int:
     model = MLPClassifier(dims, activation=cfg.activation, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     if cfg.method == "naive":
-        baselines.train_naive(model, train, val, tc, cfg.loss)
+        baselines.train_naive(model, train, val, cfg.hp.train, cfg.loss)
     elif cfg.method == "rebalanced":
-        baselines.train_rebalanced(model, train, val, tc, cfg.loss)
+        baselines.train_rebalanced(model, train, val, cfg.hp.train, cfg.loss)
     else:
-        _model, trace = adaptive.pareto_fair_optimize(train, val, model, hp, cfg.loss)
+        _model, trace = adaptive.pareto_fair_optimize(train, val, model, cfg.hp, cfg.loss)
         adaptive.write_trace_csv(trace, os.path.join(cfg.out, "trace.csv"))
     save_checkpoint(model, os.path.join(cfg.out, "model.ckpt"))
     metrics = report.compute_metrics(model.forward(test.features), test, cfg.method)
@@ -143,6 +148,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_postproc(args) -> int:
+    _check_seed(args)
     model = load_checkpoint(args.checkpoint)
     ds = load_csv(args.data)
     fit_set, holdout = split_dataset(ds, (0.5, 0.5), seed=args.seed)
@@ -167,8 +173,6 @@ def cmd_postproc(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not args.metrics:
-        raise ValueError("no metrics files given")
     header, rows = report.combine_reports(args.metrics, out_csv=args.out)
     print(report.format_table(header, rows))
     return 0

@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from paretofair.data import GroupedDataset
-from paretofair.risk import CLAMP, InputError, RiskVector, _check_targets, group_means, group_risks, sample_losses
+from paretofair.risk import InputError, RiskVector, _check_targets, _losses_and_grads, group_means, group_risks
 
 ACTIVATIONS = ("relu", "tanh")
 _CKPT_MAGIC = b"PFCKPT1\n"
@@ -142,23 +142,6 @@ class MLPClassifier:
         return np.argmax(self.forward(X), axis=1)
 
 
-def _loss_grad_probs(probs, targets, loss):
-    """dloss/dprobs per sample."""
-    n, C = probs.shape
-    onehot = np.zeros((n, C))
-    onehot[np.arange(n), targets] = 1.0
-    if loss == "brier":
-        return 2.0 * (probs - onehot)
-    if loss == "cross_entropy":
-        p = probs[np.arange(n), targets]
-        pc = np.clip(p, CLAMP, 1.0 - CLAMP)
-        grads = np.zeros((n, C))
-        active = (p > CLAMP) & (p < 1.0 - CLAMP)
-        grads[np.arange(n), targets] = np.where(active, -1.0 / pc, 0.0)
-        return grads
-    raise InputError(f"unknown loss '{loss}'")
-
-
 def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = "brier"):
     """Exact gradient of sum_i w_i l_i / sum_i w_i with respect to all parameters.
 
@@ -174,8 +157,9 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
     targets = _check_targets(targets, n, model.num_classes)
     hs = []
     probs = model._forward_cached(X, hs)
+    losses, dl_dp = _losses_and_grads(probs, targets, loss)
     if callable(sample_weights):
-        sample_weights = sample_weights(sample_losses(probs, targets, loss))
+        sample_weights = sample_weights(losses)
     w = np.asarray(sample_weights, dtype=float)
     if w.shape != (n,):
         raise InputError(f"sample weights have shape {w.shape}, expected one per row ({n},)")
@@ -184,7 +168,6 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
     wsum = float(w.sum())
     if wsum <= 0:
         raise InputError("sample weights must not all be zero")
-    dl_dp = _loss_grad_probs(probs, targets, loss)
     # softmax Jacobian: dl/dz_k = p_k (g_k - sum_j g_j p_j)
     inner = np.sum(dl_dp * probs, axis=1, keepdims=True)
     delta = probs * (dl_dp - inner)
@@ -203,7 +186,7 @@ def _rule_weights(weight_rule, groups, G: int, losses) -> np.ndarray:
     """Per-sample weights of one minibatch: its group risks mapped through ``weight_rule``."""
     r_hat, counts = group_means(losses, groups, G)
     w_groups = np.asarray(weight_rule(RiskVector(risks=r_hat, counts=counts)), dtype=float)
-    return np.where(counts > 0, w_groups, 1.0)[groups]
+    return w_groups[groups]
 
 
 def sgd_early_stop(

@@ -236,20 +236,6 @@ def reference_points(spec: ScenarioSpec, num_lambda: int = 1001):
     }
 
 
-def disparity_tradeoff(front):
-    """(mean risk, max gap) per front point, pruned to the attainable envelope.
-
-    Points dominated in (mean, gap) space are removed, so mean risk is
-    non-increasing as the allowed gap grows.
-    """
-    if not front:
-        raise InputError("empty front")
-    pairs = [(float(p.risks.risks.mean()), p.max_gap) for p in front]
-    keep = [p for p in pairs if not any(dominates(q, p) for q in pairs)]
-    keep.sort(key=lambda t: t[1])
-    return keep
-
-
 def sample_dataset(spec: ScenarioSpec, n: int, seed: int = 0) -> GroupedDataset:
     """Draw n triplets (x, y, a); x is jittered uniformly within its grid bin."""
     if n < 1:

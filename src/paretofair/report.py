@@ -34,14 +34,7 @@ def compute_metrics(probs, test: GroupedDataset, method: str) -> MethodMetrics:
     gives them; the caller scores the set once and may reuse the scores.
     """
     r = group_risks(probs, test.targets, test.groups, "brier")
-    acc, _counts = group_means(np.argmax(probs, axis=1) == test.targets, test.groups, test.num_groups)
-    return MethodMetrics(
-        method=method,
-        ratios=test.group_ratios(),
-        accuracy=acc,
-        brier=r.risks.copy(),
-        counts=r.counts.copy(),
-    )
+    return metrics_from_decisions(np.argmax(probs, axis=1), test, r.risks, method)
 
 
 def metrics_from_decisions(decisions, test: GroupedDataset, brier, method: str) -> MethodMetrics:

@@ -1,4 +1,4 @@
-"""Per-sample losses, group-conditional risks, disparity metrics, Pareto dominance and archive."""
+"""Per-sample losses and their gradients, group risks, disparity metrics, Pareto dominance and archive."""
 
 from __future__ import annotations
 
@@ -44,23 +44,34 @@ def _check_targets(targets, n: int, C: int) -> np.ndarray:
     return targets
 
 
-def sample_losses(probs: np.ndarray, targets: np.ndarray, loss: str = "brier") -> np.ndarray:
-    """Per-sample losses for an n x C probability matrix and n target labels.
+def _losses_and_grads(probs: np.ndarray, targets: np.ndarray, loss: str):
+    """Per-sample losses and their gradients dloss/dprobs, for checked targets.
 
     ``brier``: sum over classes of (p_j - y_j)^2 against the one-hot target,
-    range [0, 2]. ``cross_entropy``: -log p_target, clamped away from 0 and 1.
+    range [0, 2], with gradient 2 (p - y). ``cross_entropy``: -log p_target,
+    clamped away from 0 and 1, with gradient -1 / p_target in the target's
+    column and 0 where the clamp is active.
     """
+    n = probs.shape[0]
+    rows = np.arange(n)
+    if loss == "brier":
+        diff = probs.copy()
+        diff[rows, targets] -= 1.0
+        return np.sum(diff**2, axis=1), 2.0 * diff
+    if loss == "cross_entropy":
+        p = probs[rows, targets]
+        pc = np.clip(p, CLAMP, 1.0 - CLAMP)
+        grads = np.zeros(probs.shape)
+        grads[rows, targets] = np.where((p > CLAMP) & (p < 1.0 - CLAMP), -1.0 / pc, 0.0)
+        return -np.log(pc), grads
+    raise InputError(f"unknown loss '{loss}'")
+
+
+def sample_losses(probs: np.ndarray, targets: np.ndarray, loss: str = "brier") -> np.ndarray:
+    """Per-sample losses, one of ``LOSSES``, for an n x C probability matrix and n target labels."""
     probs = np.asarray(probs, dtype=float)
     n, C = probs.shape
-    targets = _check_targets(targets, n, C)
-    if loss == "brier":
-        onehot = np.zeros((n, C))
-        onehot[np.arange(n), targets] = 1.0
-        return np.sum((probs - onehot) ** 2, axis=1)
-    if loss == "cross_entropy":
-        p = np.clip(probs[np.arange(n), targets], CLAMP, 1.0 - CLAMP)
-        return -np.log(p)
-    raise InputError(f"unknown loss '{loss}'")
+    return _losses_and_grads(probs, _check_targets(targets, n, C), loss)[0]
 
 
 def group_means(values, groups, num_groups: int):

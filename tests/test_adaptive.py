@@ -105,6 +105,11 @@ class TestGroupWeights:
                 fd = (adaptive_loss(rp, mu, c) - adaptive_loss(rm, mu, c)) / (2 * h)
                 assert abs(fd - w[a]) / max(abs(fd), 1e-6) < 1e-4
 
+    @pytest.mark.parametrize("fn", [adaptive_loss, group_weights])
+    def test_mu_length_checked(self, fn):
+        with pytest.raises(InputError, match="mu length"):
+            fn([0.1, 0.2], [1.0, 1.0, 1.0], 0.0)
+
     def test_weights_at_least_one(self):
         rng = np.random.default_rng(2)
         for _ in range(200):

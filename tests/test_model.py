@@ -15,7 +15,7 @@ from paretofair.model import (
     sgd_early_stop,
     weighted_grad,
 )
-from paretofair.risk import InputError, RiskVector, group_means, group_risks, sample_losses
+from paretofair.risk import CLAMP, InputError, RiskVector, group_means, group_risks, sample_losses
 
 
 def finite_diff_grads(model, X, y, w, loss, step=1e-5):
@@ -215,7 +215,15 @@ def reference_forward_and_grad(m, X, y, w, loss):
     shifted = zs[-1] - zs[-1].max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)
-    dl_dp = model_module._loss_grad_probs(probs, y, loss)
+    rows = np.arange(len(y))
+    if loss == "brier":
+        onehot = np.zeros(probs.shape)
+        onehot[rows, y] = 1.0
+        dl_dp = 2.0 * (probs - onehot)
+    else:  # cross entropy: -1 / p_target, 0 where the clamp is active
+        p = probs[rows, y]
+        dl_dp = np.zeros(probs.shape)
+        dl_dp[rows, y] = np.where((p > CLAMP) & (p < 1.0 - CLAMP), -1.0 / np.clip(p, CLAMP, 1.0 - CLAMP), 0.0)
     inner = np.sum(dl_dp * probs, axis=1, keepdims=True)
     delta = probs * (dl_dp - inner)
     delta *= (w / float(w.sum()))[:, None]

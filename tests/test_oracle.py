@@ -7,7 +7,6 @@ from paretofair.oracle import (
     ScenarioParams,
     ScenarioSpec,
     bayes_noise,
-    disparity_tradeoff,
     exact_group_risks,
     load_scenario,
     make_scenario,
@@ -290,27 +289,6 @@ class TestReferencePoints:
         pf = refs["pareto_fair"].risks
         assert eq.max() - eq.min() == pytest.approx(0.0)
         assert np.all(pf <= eq + 1e-12)  # weak dominance
-
-
-class TestDisparityTradeoff:
-    def test_single_point(self):
-        front = trace_front(single_group_spec(0.2), 11)
-        pairs = disparity_tradeoff(front)
-        assert len(pairs) == 1
-
-    def test_symmetric_min_mean_at_zero_gap(self, symmetric_spec):
-        pairs = disparity_tradeoff(trace_front(symmetric_spec, 101))
-        best_mean = min(m for m, _g in pairs)
-        mean_at_zero = min(m for m, g in pairs if g <= 1e-9)
-        assert mean_at_zero == pytest.approx(best_mean)
-
-    def test_mean_nonincreasing_in_gap(self, acceptance_spec):
-        pairs = disparity_tradeoff(trace_front(acceptance_spec, 201))
-        gaps = [g for _m, g in pairs]
-        means = [m for m, _g in pairs]
-        assert gaps == sorted(gaps)
-        for a, b in zip(means, means[1:]):
-            assert b <= a + 1e-12
 
 
 class TestGridRefinement:

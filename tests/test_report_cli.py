@@ -5,8 +5,8 @@ import pytest
 
 from paretofair import cli
 from paretofair.adaptive import PFHyperparams
-from paretofair.data import GroupedDataset, load_csv
-from paretofair.model import MLPClassifier, TrainConfig, load_checkpoint
+from paretofair.data import GroupedDataset, load_csv, save_csv
+from paretofair.model import MLPClassifier, TrainConfig, load_checkpoint, save_checkpoint
 from paretofair.oracle import ScenarioParams, sample_dataset, save_scenario
 from paretofair.report import (
     combine_reports,
@@ -287,19 +287,6 @@ class TestCliCommands:
         assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
-    @pytest.mark.parametrize("line, message", [
-        ("lr = nan", "lr must be finite and positive, got nan"),
-        ("max_outer_iters = 0", "max_outer_iters must be an integer >= 1, got 0"),
-    ])
-    def test_train_bad_setting_names_the_field(self, scenario_file, tmp_path, capsys, line, message):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"n = 300\nhidden = 4\nmax_epochs = 2\npatience = 1\n{line}\n")
-        out = tmp_path / "run"
-        argv = ["train", "--config", str(cfg), "--scenario", scenario_file, "--method", "paretofair", "--out", str(out)]
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err.strip() == f"paretofair train: error: {message}"
-        assert not (out / "model.ckpt").exists()
-
     @pytest.mark.parametrize("line, flags, message", [
         ("", ["--seed", "-1"], "seed must be an integer in [0, 2**63), got -1"),
         ("seed = -1", [], "seed must be an integer in [0, 2**63), got -1"),
@@ -312,6 +299,9 @@ class TestCliCommands:
         ("activation = sigmoid", [], "activation must be one of ('relu', 'tanh'), got 'sigmoid'"),
         ("method = fancy", [], "method must be one of ('naive', 'rebalanced', 'paretofair'), got 'fancy'"),
         ("n = 0", [], "n must be an integer >= 1, got 0"),
+        # trainer settings, checked by TrainConfig and PFHyperparams
+        ("lr = nan", [], "lr must be finite and positive, got nan"),
+        ("max_outer_iters = 0", [], "max_outer_iters must be an integer >= 1, got 0"),
     ])
     def test_train_bad_key_fails_before_any_work(self, scenario_file, tmp_path, capsys, line, flags, message):
         cfg = tmp_path / "cfg.txt"
@@ -321,6 +311,19 @@ class TestCliCommands:
         assert cli.main(argv) == 1
         where = "" if flags else f"{cfg}: "  # a bad value in the file names the file
         assert capsys.readouterr().err.strip() == f"paretofair train: error: {where}{message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "postproc"])
+    def test_bad_seed_names_the_key(self, command, scenario_file, small_test_set, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        save_csv(small_test_set, data)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(MLPClassifier([1, 4, 2]), ckpt)
+        inputs = {"synth": ["--scenario", scenario_file], "postproc": ["--checkpoint", str(ckpt), "--data", str(data)]}
+        out = tmp_path / "out"
+        assert cli.main([command, *inputs[command], "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"paretofair {command}: error: seed must be an integer in [0, 2**63), got -1"
         assert not out.exists()
 
     def test_three_groups_end_to_end(self, tmp_path):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from paretofair import risk
 from paretofair.risk import (
+    CLAMP,
+    LOSSES,
     InputError,
     RiskVector,
     archive_insert,
@@ -57,6 +60,45 @@ class TestCrossEntropy:
 
     def test_matches_log(self):
         assert one_loss((0.25, 0.75), 1, "cross_entropy") == pytest.approx(-np.log(0.75))
+
+
+def plain_loss_and_grad(probs, targets, loss):
+    """Each loss and its gradient dloss/dprobs, written out from a one-hot target."""
+    n, C = probs.shape
+    rows = np.arange(n)
+    onehot = np.zeros((n, C))
+    onehot[rows, targets] = 1.0
+    if loss == "brier":
+        return np.sum((probs - onehot) ** 2, axis=1), 2.0 * (probs - onehot)
+    if loss == "cross_entropy":
+        p = probs[rows, targets]
+        pc = np.clip(p, CLAMP, 1.0 - CLAMP)
+        grads = np.zeros((n, C))
+        grads[rows, targets] = np.where((p > CLAMP) & (p < 1.0 - CLAMP), -1.0 / pc, 0.0)
+        return -np.log(pc), grads
+    raise AssertionError(f"no plain formula for loss {loss!r}")
+
+
+class TestLossesAndGrads:
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_match_plain_formulas_bitwise(self, loss):
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((40, 3)) * 4.0
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        softmax = e / e.sum(axis=1, keepdims=True)
+        # rows whose target probability is exactly 0, CLAMP, 1 - CLAMP and 1
+        edges = np.array([[p, (1.0 - p) / 2, (1.0 - p) / 2] for p in (0.0, CLAMP, 1.0 - CLAMP, 1.0)])
+        probs = np.vstack([softmax, edges])
+        targets = np.concatenate([rng.integers(0, 3, 40), np.zeros(4, dtype=int)])
+        losses, grads = risk._losses_and_grads(probs, targets, loss)
+        want_losses, want_grads = plain_loss_and_grad(probs, targets, loss)
+        assert losses.tobytes() == want_losses.tobytes()
+        assert grads.tobytes() == want_grads.tobytes()
+        assert sample_losses(probs, targets, loss).tobytes() == want_losses.tobytes()
+
+    def test_unknown_loss(self):
+        with pytest.raises(InputError, match="unknown loss 'hinge'"):
+            sample_losses(np.full((2, 2), 0.5), [0, 1], "hinge")
 
 
 class TestGroupMeans:
