@@ -9,7 +9,7 @@ the multiplier bump, and retry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,8 +54,8 @@ def group_weights(r_hat, mu, c: float) -> np.ndarray:
 
 
 @dataclass
-class PFHyperparams:
-    """Outer-loop settings; ``train`` configures the inner SGD runs."""
+class PFHyperparams(TrainConfig):
+    """Outer-loop settings, on top of the inner SGD settings of ``TrainConfig``."""
 
     mu_init: float = 1.0
     k: float = 2.0
@@ -65,9 +65,9 @@ class PFHyperparams:
     max_outer_iters: int = 80
     max_consecutive_rejects: int = 15
     lr_min: float = 1e-6
-    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        super().__post_init__()
         _check_field(self, "mu_init", 0 < self.mu_init < np.inf, "finite and positive")
         # k > 1 keeps c = min risk / k below the smallest group risk
         _check_field(self, "k", 1 < self.k < np.inf, "finite and > 1")
@@ -96,14 +96,14 @@ class AdaptiveLossState:
 
 
 def init_state(G: int, hp: PFHyperparams, model: MLPClassifier) -> AdaptiveLossState:
-    """The first outer step trains at ``hp.train.lr``."""
+    """The first outer step trains at ``hp.lr``."""
     return AdaptiveLossState(
         hp=hp,
         mu=np.full(G, hp.mu_init),
         mu_star=np.full(G, hp.mu_init),
         c=0.0,
         gamma=hp.gamma0,
-        lr=hp.train.lr,
+        lr=hp.lr,
         gamma_star=np.inf,
         best_params=model.get_params(),
         archive=(),
@@ -168,13 +168,15 @@ def pareto_fair_optimize(
     if val.num_groups != G:
         raise InputError("validation set must contain every training group")
     state = init_state(G, hp, model)
+    # each step trains on a plain TrainConfig: no subclass check re-runs on seed + it
+    inner = {f.name: getattr(hp, f.name) for f in fields(TrainConfig)}
     trace: list[TraceRow] = []
     consecutive_rejects = 0
 
     for it in range(hp.max_outer_iters):
         mu = state.mu.copy()
         c = state.c
-        cfg = replace(hp.train, lr=state.lr, seed=hp.train.seed + it)
+        cfg = TrainConfig(**{**inner, "lr": state.lr, "seed": hp.seed + it})
         sgd_early_stop(
             model,
             train,

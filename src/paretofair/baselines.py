@@ -3,7 +3,7 @@ post-processing rule that equalizes group accuracies by mixing toward chance."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +24,11 @@ def train_naive(
     loss: str = "brier",
 ):
     """Plain ERM: uniform sampling, objective = sample-weighted mean risk."""
-    cfg = replace(config, stratified=False)
 
     def objective(r: RiskVector) -> float:
         return float(np.dot(r.risks, r.counts) / r.counts.sum())
 
-    model, _, _ = sgd_early_stop(model, train, val, objective, _uniform_weights, cfg, loss)
+    model, _, _ = sgd_early_stop(model, train, val, objective, _uniform_weights, config, loss, stratified=False)
     return model
 
 
@@ -41,12 +40,11 @@ def train_rebalanced(
     loss: str = "brier",
 ):
     """Equal per-group sampling, objective = unweighted mean of group risks."""
-    cfg = replace(config, stratified=True)
 
     def objective(r: RiskVector) -> float:
         return float(r.risks.mean())
 
-    model, _, _ = sgd_early_stop(model, train, val, objective, _uniform_weights, cfg, loss)
+    model, _, _ = sgd_early_stop(model, train, val, objective, _uniform_weights, config, loss)
     return model
 
 

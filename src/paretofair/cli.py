@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from paretofair import adaptive, baselines, oracle, report
 from paretofair.data import GroupedDataset, _first_empty, load_csv, load_key_values, save_csv, split_dataset
 from paretofair.model import (
-    ACTIVATIONS, MLPClassifier, TrainConfig, _check_field, _is_int, load_checkpoint, save_checkpoint,
+    ACTIVATIONS, MLPClassifier, _check_field, _is_int, load_checkpoint, save_checkpoint,
 )
 from paretofair.risk import LOSSES, InputError
 
@@ -29,14 +29,9 @@ def _check_seed(obj):
     _check_field(obj, "seed", _is_int(obj.seed) and 0 <= obj.seed < 2**63, "an integer in [0, 2**63)")
 
 
-def _shared_fields(cls, obj) -> dict:
-    """The fields of ``cls`` that ``obj`` also has, with their values in ``obj``."""
-    return {f.name: getattr(obj, f.name) for f in fields(cls) if hasattr(obj, f.name)}
-
-
 @dataclass
-class ExperimentConfig:
-    """Every key a ``--config`` file may set; ``hp`` holds the trainer settings built from them."""
+class ExperimentConfig(adaptive.PFHyperparams):
+    """Every key a ``--config`` file may set: the trainer settings it inherits, and these."""
 
     scenario: str | None = None
     data: str | None = None
@@ -46,24 +41,10 @@ class ExperimentConfig:
     loss: str = "brier"
     n: int = 20000
     split: tuple = (0.6, 0.2, 0.2)
-    seed: int = 0
     out: str = "out"
-    # inner SGD
-    lr: float = TrainConfig.lr
-    batch_size: int = TrainConfig.batch_size
-    max_epochs: int = TrainConfig.max_epochs
-    patience: int = TrainConfig.patience
-    # outer loop
-    mu_init: float = adaptive.PFHyperparams.mu_init
-    k: float = adaptive.PFHyperparams.k
-    gamma0: float = adaptive.PFHyperparams.gamma0
-    xi: float = adaptive.PFHyperparams.xi
-    zeta: float = adaptive.PFHyperparams.zeta
-    max_outer_iters: int = adaptive.PFHyperparams.max_outer_iters
-    max_consecutive_rejects: int = adaptive.PFHyperparams.max_consecutive_rejects
-    lr_min: float = adaptive.PFHyperparams.lr_min
 
     def __post_init__(self):
+        super().__post_init__()
         _check_field(self, "method", self.method in METHODS, f"one of {METHODS}")
         _check_field(self, "loss", self.loss in LOSSES, f"one of {LOSSES}")
         _check_field(self, "activation", self.activation in ACTIVATIONS, f"one of {ACTIVATIONS}")
@@ -71,9 +52,6 @@ class ExperimentConfig:
         _check_field(self, "n", _is_int(self.n) and self.n >= 1, "an integer >= 1")
         _check_seed(self)
         _check_field(self, "split", len(self.split) == 3, "three fractions (train, validation, test)")
-        # the trainer settings, checked by TrainConfig and PFHyperparams
-        tc = TrainConfig(**_shared_fields(TrainConfig, self))
-        self.hp = adaptive.PFHyperparams(**_shared_fields(adaptive.PFHyperparams, self), train=tc)
 
 
 def build_config(path, overrides: dict) -> ExperimentConfig:
@@ -133,11 +111,11 @@ def cmd_train(args) -> int:
     model = MLPClassifier(dims, activation=cfg.activation, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     if cfg.method == "naive":
-        baselines.train_naive(model, train, val, cfg.hp.train, cfg.loss)
+        baselines.train_naive(model, train, val, cfg, cfg.loss)
     elif cfg.method == "rebalanced":
-        baselines.train_rebalanced(model, train, val, cfg.hp.train, cfg.loss)
+        baselines.train_rebalanced(model, train, val, cfg, cfg.loss)
     else:
-        _model, trace = adaptive.pareto_fair_optimize(train, val, model, cfg.hp, cfg.loss)
+        _model, trace = adaptive.pareto_fair_optimize(train, val, model, cfg, cfg.loss)
         adaptive.write_trace_csv(trace, os.path.join(cfg.out, "trace.csv"))
     save_checkpoint(model, os.path.join(cfg.out, "model.ckpt"))
     metrics = report.compute_metrics(model.forward(test.features), test, cfg.method)
@@ -151,6 +129,9 @@ def cmd_postproc(args) -> int:
     _check_seed(args)
     model = load_checkpoint(args.checkpoint)
     ds = load_csv(args.data)
+    if ds.dim != model.layer_dims[0] or ds.num_classes > model.num_classes:
+        raise InputError(f"{args.data} has {ds.dim} feature(s) and labels 0..{ds.num_classes - 1}, but "
+                         f"{args.checkpoint} takes {model.layer_dims[0]} feature(s), {model.num_classes} class(es)")
     fit_set, holdout = split_dataset(ds, (0.5, 0.5), seed=args.seed)
     decisions = model.decisions(fit_set.features)
     rule = baselines.fit_equalizing_rule(

@@ -38,7 +38,6 @@ class TrainConfig:
     max_epochs: int = 60
     patience: int = 5
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         _check_field(self, "lr", 0 < self.lr < np.inf, "finite and positive")
@@ -53,7 +52,7 @@ class TrainConfig:
 class MLPClassifier:
     """Fully connected softmax classifier, zero or more hidden layers."""
 
-    def __init__(self, layer_dims, activation: str = "relu", seed: int = 0, zero_init: bool = False):
+    def __init__(self, layer_dims, activation: str = "relu", seed: int = 0):
         layer_dims = list(int(d) for d in layer_dims)
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise InputError("layer_dims needs at least [input_dim, num_classes]")
@@ -66,11 +65,7 @@ class MLPClassifier:
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            if zero_init:
-                W = np.zeros((fan_in, fan_out))
-            else:
-                W = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-            self.weights.append(W)
+            self.weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
             self.biases.append(np.zeros(fan_out))
 
     @property
@@ -197,6 +192,7 @@ def sgd_early_stop(
     weight_rule,
     config: TrainConfig,
     loss: str = "brier",
+    stratified: bool = True,
 ):
     """Minibatch SGD with group-dependent sample weights and early stopping.
 
@@ -204,12 +200,13 @@ def sgd_early_stop(
     ``weight_rule`` to G weights, and applies those as sample weights in the
     gradient. The risks come from the forward pass of the gradient itself
     (``weighted_grad`` takes the weights as a function of the batch's
-    losses), so a step runs one forward and one backward pass. Stratified
+    losses), so a step runs one forward and one backward pass. ``stratified``
     batches take ceil(batch_size / G) rows of each group, drawn with
-    replacement. After each epoch the ``objective`` (a function of the
-    validation RiskVector) is evaluated; the best parameters seen are
-    restored at the end. Training stops once ``patience`` consecutive epochs
-    bring no improvement, or at ``max_epochs``.
+    replacement; otherwise each epoch walks one permutation of the rows.
+    After each epoch the ``objective`` (a function of the validation
+    RiskVector) is evaluated; the best parameters seen are restored at the
+    end. Training stops once ``patience`` consecutive epochs bring no
+    improvement, or at ``max_epochs``.
 
     Returns (model, best_val_objective, epochs_run). The model is updated in
     place and also returned.
@@ -218,7 +215,7 @@ def sgd_early_stop(
     G = train.num_groups
     n = train.n
     n_batches = -(-n // config.batch_size)
-    if config.stratified:
+    if stratified:
         # A stratified batch holds ``per`` rows of group 0, then of group 1, and
         # so on, indexing the training rows sorted by group. One draw per epoch
         # bounds each row by its group's size, so the draws, and the generator
@@ -235,7 +232,7 @@ def sgd_early_stop(
     epochs_run = 0
 
     for _epoch in range(config.max_epochs):
-        if config.stratified:
+        if stratified:
             draws = rng.integers(0, sizes[:, None], size=(n_batches, G, per)) + starts[:, None]
             batches = pool[draws].reshape(n_batches, G * per)
         else:
@@ -311,7 +308,7 @@ def load_checkpoint(path) -> MLPClassifier:
     if len(buf) != expected:
         raise InputError(f"{path}: {len(buf)} bytes, but the header implies {expected}")
     try:
-        model = MLPClassifier(dims, activation=ACTIVATIONS[tag], seed=seed, zero_init=True)
+        model = MLPClassifier(dims, activation=ACTIVATIONS[tag], seed=seed)
     except ValueError as exc:  # bad dims, or a seed numpy rejects
         raise InputError(f"{path}: {exc}") from None
     params = np.frombuffer(buf, dtype=float, offset=pos)

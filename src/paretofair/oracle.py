@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from paretofair.data import GroupedDataset, load_key_values, write_table
+from paretofair.model import _is_int
 from paretofair.risk import InputError, RiskVector, dominates, max_gap
 
 _TOL = 1e-9
@@ -238,8 +239,8 @@ def reference_points(spec: ScenarioSpec, num_lambda: int = 1001):
 
 def sample_dataset(spec: ScenarioSpec, n: int, seed: int = 0) -> GroupedDataset:
     """Draw n triplets (x, y, a); x is jittered uniformly within its grid bin."""
-    if n < 1:
-        raise InputError("need n >= 1")
+    if not (_is_int(n) and n >= 1):
+        raise InputError(f"n must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
     G, B = spec.density.shape
     groups = rng.choice(G, size=n, p=spec.priors)

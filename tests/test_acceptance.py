@@ -23,7 +23,7 @@ from paretofair.adaptive import (
 )
 from paretofair.baselines import apply_rule, fit_equalizing_rule, train_naive, train_rebalanced
 from paretofair.data import split_dataset
-from paretofair.model import MLPClassifier, TrainConfig, weighted_grad
+from paretofair.model import MLPClassifier, weighted_grad
 from paretofair.oracle import (
     ScenarioParams,
     bayes_noise,
@@ -72,13 +72,12 @@ def trained_runs(acceptance_spec):
     for seed in SEEDS:
         ds = sample_dataset(acceptance_spec, N_SAMPLES, seed=seed)
         train, val, test = split_dataset(ds, SPLIT, seed=seed)
-        tc = TrainConfig(lr=0.1, batch_size=128, max_epochs=60, patience=5, seed=seed)
-        hp = PFHyperparams(train=tc)
+        hp = PFHyperparams(lr=0.1, batch_size=128, max_epochs=60, patience=5, seed=seed)
         pf_model, trace = pareto_fair_optimize(
             train, val, MLPClassifier(list(ARCH), seed=seed), hp
         )
-        naive = train_naive(MLPClassifier(list(ARCH), seed=seed), train, val, tc)
-        rebal = train_rebalanced(MLPClassifier(list(ARCH), seed=seed), train, val, tc)
+        naive = train_naive(MLPClassifier(list(ARCH), seed=seed), train, val, hp)
+        rebal = train_rebalanced(MLPClassifier(list(ARCH), seed=seed), train, val, hp)
         runs[seed] = {
             "val": val,
             "test": test,

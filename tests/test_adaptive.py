@@ -193,7 +193,8 @@ class TestAcceptReject:
 
 class TestEvaluateRisk:
     def test_zero_weight_binary_model(self):
-        model = MLPClassifier([1, 2], zero_init=True)
+        model = MLPClassifier([1, 2])
+        model.weights[0][...] = 0.0
         ds = GroupedDataset(features=[[0.1], [0.2], [0.3]], targets=[0, 1, 0], groups=[0, 1, 0])
         r = evaluate_risk(model, ds)
         assert np.allclose(r.risks, 0.5)
@@ -220,8 +221,8 @@ class TestEvaluateRisk:
 
 
 def _small_hp(seed=0, **kw):
-    tc = TrainConfig(lr=0.2, batch_size=64, max_epochs=15, patience=3, seed=seed)
-    defaults = dict(max_outer_iters=10, max_consecutive_rejects=4, train=tc)
+    defaults = dict(lr=0.2, batch_size=64, max_epochs=15, patience=3, seed=seed, max_outer_iters=10,
+                    max_consecutive_rejects=4)
     defaults.update(kw)
     return PFHyperparams(**defaults)
 

@@ -71,11 +71,6 @@ class TestInit:
         m2 = MLPClassifier([3, 4, 2], seed=10)
         assert not np.array_equal(m1.weights[0], m2.weights[0])
 
-    def test_zero_init_uniform_output(self):
-        m = MLPClassifier([2, 3], zero_init=True)
-        probs = m.forward(np.array([[1.0, -2.0]]))
-        assert np.allclose(probs, 1.0 / 3.0)
-
     def test_bad_dims(self):
         with pytest.raises(InputError):
             MLPClassifier([4])
@@ -83,7 +78,8 @@ class TestInit:
 
 class TestForward:
     def test_zero_weight_binary(self):
-        m = MLPClassifier([1, 2], zero_init=True)
+        m = MLPClassifier([1, 2])
+        m.weights[0][...] = 0.0
         assert np.allclose(m.forward([[3.7]]), 0.5)
 
     def test_rows_are_simplex(self):
@@ -93,7 +89,8 @@ class TestForward:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_logit_monotonicity(self):
-        m = MLPClassifier([1, 2], zero_init=True)
+        m = MLPClassifier([1, 2])
+        m.weights[0][...] = 0.0
         m.weights[0][0, 1] = 1.0  # positive x pushes class 1
         probs = m.forward([[2.0]])
         assert probs[0, 1] > 0.5
@@ -344,10 +341,10 @@ class TestSgdEarlyStop:
     def test_uniform_weights_match_plain_sgd_bitwise(self):
         train = separable_dataset(48, seed=3)
         val = separable_dataset(48, seed=4)
-        cfg = TrainConfig(lr=0.2, batch_size=16, max_epochs=4, patience=4, seed=7, stratified=False)
+        cfg = TrainConfig(lr=0.2, batch_size=16, max_epochs=4, patience=4, seed=7)
 
         model = MLPClassifier([1, 4, 2], seed=5)
-        model, _, _ = sgd_early_stop(model, train, val, mean_objective, uniform_rule, cfg)
+        model, _, _ = sgd_early_stop(model, train, val, mean_objective, uniform_rule, cfg, stratified=False)
 
         # independent plain SGD with the same batch schedule and no weighting
         ref = MLPClassifier([1, 4, 2], seed=5)

@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,7 +137,32 @@ class TestCombineAndFormat:
         assert len({line.index("0.") for line in lines[2:]}) == 1
 
 
+# every key a --config file may set: TrainConfig's, then PFHyperparams', then ExperimentConfig's own
+CONFIG_KEYS = {
+    "lr", "batch_size", "max_epochs", "patience", "seed",
+    "mu_init", "k", "gamma0", "xi", "zeta", "max_outer_iters", "max_consecutive_rejects", "lr_min",
+    "scenario", "data", "method", "hidden", "activation", "loss", "n", "split", "out",
+}
+
+
 class TestConfig:
+    def test_keys_are_the_fields_of_the_settings_chain(self):
+        assert {f.name for f in fields(cli.ExperimentConfig)} == CONFIG_KEYS
+        assert issubclass(cli.ExperimentConfig, PFHyperparams) and issubclass(PFHyperparams, TrainConfig)
+
+    def test_readme_table_lists_every_key(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("Config keys"))
+        table = []
+        for line in lines[start:]:
+            if line.startswith("|"):
+                table.append(line)
+            elif table:
+                break
+        # the header row and the separator row name no key
+        keys = [key for row in table[2:] for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert len(keys) == len(set(keys)) and set(keys) == CONFIG_KEYS
+
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("lr = 0.05  # inner step\nhidden = 16,16\nmethod = naive\n")
@@ -217,6 +244,19 @@ class TestCliCommands:
         ])
         assert rc == 0
         assert (out / "trace.csv").exists()
+
+    def test_train_paretofair_top_seed(self, scenario_file, tmp_path):
+        # outer step i trains at seed + i, past the 2**63 bound of the seed key
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 600\nhidden = 4\nmax_epochs = 2\npatience = 1\nmax_outer_iters = 3\n")
+        out = tmp_path / "run"
+        rc = cli.main([
+            "train", "--config", str(cfg), "--scenario", scenario_file,
+            "--method", "paretofair", "--seed", str(2**63 - 1), "--out", str(out),
+        ])
+        assert rc == 0
+        assert len((out / "trace.csv").read_text().splitlines()) == 1 + 3
+        assert load_checkpoint(out / "model.ckpt").seed == 2**63 - 1
 
     def test_postproc_outputs(self, scenario_file, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -324,6 +364,26 @@ class TestCliCommands:
         assert cli.main([command, *inputs[command], "--seed", "-1", "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip()
         assert err == f"paretofair {command}: error: seed must be an integer in [0, 2**63), got -1"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims, mismatch", [
+        ([2, 3, 2], "takes 2 feature(s), 2 class(es)"),
+        ([1, 3, 1], "takes 1 feature(s), 1 class(es)"),  # caught before rule.csv is written
+    ])
+    def test_postproc_checkpoint_must_fit_the_data(self, dims, mismatch, small_test_set, tmp_path, capsys):
+        data, ckpt, out = tmp_path / "data.csv", tmp_path / "model.ckpt", tmp_path / "out"
+        save_csv(small_test_set, data)
+        save_checkpoint(MLPClassifier(dims), ckpt)
+        assert cli.main(["postproc", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"paretofair postproc: error: {data} has 1 feature(s) and labels 0..1, but {ckpt} {mismatch}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_synth_bad_n_names_the_key(self, n, scenario_file, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert cli.main(["synth", "--scenario", scenario_file, "--n", str(n), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == f"paretofair synth: error: n must be an integer >= 1, got {n}"
         assert not out.exists()
 
     def test_three_groups_end_to_end(self, tmp_path):
