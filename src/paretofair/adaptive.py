@@ -1,10 +1,12 @@
 """Adaptive penalized loss and the outer loop searching for the Pareto-fair model.
 
-The outer loop alternates inner weighted-SGD runs with an accept/reject test
-on validation group risks: a step is kept only if it strictly shrinks the
-worst pairwise risk gap and is not dominated by any previously accepted risk
-vector. Rejected steps restore the best model, shrink the learning rate and
-the multiplier bump, and retry.
+The outer loop alternates inner solves of the adaptive loss with an
+accept/reject test on group risks: a step is kept only if it strictly shrinks
+the worst pairwise risk gap and is not dominated by any previously accepted
+risk vector. Rejected steps are dropped, and the next step starts again from
+the best accepted snapshot with a smaller learning rate and multiplier bump.
+``pareto_fair_optimize`` runs it with weighted SGD on validation risks;
+``oracle.exact_solver`` runs it on a scenario's exact risks.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ import numpy as np
 
 from paretofair.data import GroupedDataset, write_table
 from paretofair.model import MLPClassifier, TrainConfig, _check_field, _is_int, sgd_early_stop
-from paretofair.risk import (
-    InputError,
-    RiskVector,
-    archive_insert,
-    group_risks,
-    max_gap,
-)
+from paretofair.risk import InputError, RiskVector, archive_insert, group_risks, max_gap
 
 _EPS = 1e-12
 
@@ -80,61 +76,6 @@ class PFHyperparams(TrainConfig):
         _check_field(self, "lr_min", self.lr_min >= 0, "nonnegative")
 
 
-@dataclass
-class AdaptiveLossState:
-    """Everything the outer loop carries between iterations."""
-
-    hp: PFHyperparams
-    mu: np.ndarray
-    mu_star: np.ndarray
-    c: float
-    gamma: float
-    lr: float
-    gamma_star: float
-    best_params: object
-    archive: tuple  # mutually non-dominated RiskVectors of the accepted steps
-
-
-def init_state(G: int, hp: PFHyperparams, model: MLPClassifier) -> AdaptiveLossState:
-    """The first outer step trains at ``hp.lr``."""
-    return AdaptiveLossState(
-        hp=hp,
-        mu=np.full(G, hp.mu_init),
-        mu_star=np.full(G, hp.mu_init),
-        c=0.0,
-        gamma=hp.gamma0,
-        lr=hp.lr,
-        gamma_star=np.inf,
-        best_params=model.get_params(),
-        archive=(),
-    )
-
-
-def pf_step_accept(state: AdaptiveLossState, r_val: RiskVector) -> bool:
-    """Accept iff the gap strictly improves and no archived risk vector dominates r_val."""
-    return max_gap(r_val) < state.gamma_star and archive_insert(state.archive, r_val)[0]
-
-
-def pf_accept_update(state: AdaptiveLossState, r_val: RiskVector, model: MLPClassifier):
-    """Bookkeeping after an accepted step: archive r_val, new best model, c and mu* rescale."""
-    _, state.archive = archive_insert(state.archive, r_val)
-    state.best_params = model.get_params()
-    state.gamma_star = max_gap(r_val)
-    c_old, state.c = state.c, float(r_val.risks.min()) / state.hp.k
-    num = np.maximum(r_val.risks - c_old, 0.0)
-    den = np.maximum(r_val.risks - state.c, 0.0)
-    ratio = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
-    state.mu_star = state.mu * ratio
-
-
-def pf_reject_update(state: AdaptiveLossState, model: MLPClassifier):
-    """Rejected step: decay lr and gamma, restore multipliers and best model."""
-    state.lr *= state.hp.zeta
-    state.mu = state.mu_star.copy()
-    state.gamma *= state.hp.xi
-    model.set_params(state.best_params)
-
-
 def evaluate_risk(model: MLPClassifier, val: GroupedDataset, loss: str = "brier") -> RiskVector:
     probs = model.forward(val.features)
     return group_risks(probs, val.targets, val.groups, loss)
@@ -152,6 +93,45 @@ class TraceRow:
     max_gap: float
 
 
+def outer_loop(solve, start, G: int, hp: PFHyperparams):
+    """The outer loop over an inner solver; returns (best_snapshot, trace).
+
+    ``solve(start, mu, c, lr, seed) -> (snapshot, RiskVector)`` minimizes the
+    adaptive loss at multipliers ``mu`` and threshold ``c`` from the snapshot
+    ``start``. Every step starts from the best accepted snapshot, so a
+    rejected step is undone by dropping its snapshot. A step is accepted iff
+    its gap strictly improves and no accepted risk vector dominates it. An
+    accept moves ``c`` to min risk / k and rescales the multipliers to mu*,
+    which keeps each group's weight at the accepted risks; a reject restores
+    mu* and decays ``lr`` and the bump ``gamma``.
+    """
+    mu = np.full(G, hp.mu_init)
+    mu_star = mu.copy()
+    c, gamma, lr, gamma_star = 0.0, hp.gamma0, hp.lr, np.inf
+    best, archive, trace, rejects = start, (), [], 0
+    for it in range(hp.max_outer_iters):
+        snapshot, r = solve(best, mu.copy(), c, lr, hp.seed + it)
+        gap = max_gap(r)
+        accepted, kept = archive_insert(archive, r) if gap < gamma_star else (False, archive)
+        if accepted:
+            c_old, c = c, float(r.risks.min()) / hp.k
+            num = np.maximum(r.risks - c_old, 0.0)
+            den = np.maximum(r.risks - c, 0.0)
+            mu_star = mu * np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
+            best, archive, gamma_star, rejects = snapshot, kept, gap, 0
+        else:
+            lr *= hp.zeta
+            mu = mu_star.copy()
+            gamma *= hp.xi
+            rejects += 1
+        # the worst group's multiplier grows after rejected steps too
+        mu[int(np.argmax(r.risks))] *= 1.0 + gamma
+        trace.append(TraceRow(it, accepted, lr, gamma, c, mu.copy(), r.risks.copy(), gap))
+        if rejects >= hp.max_consecutive_rejects or lr < hp.lr_min:
+            break
+    return best, trace
+
+
 def pareto_fair_optimize(
     train: GroupedDataset,
     val: GroupedDataset,
@@ -159,60 +139,32 @@ def pareto_fair_optimize(
     hp: PFHyperparams,
     loss: str = "brier",
 ):
-    """Outer optimization loop; returns (best_model, trace).
+    """``outer_loop`` with weighted SGD as its solver; returns (best_model, trace).
 
-    The returned model carries the parameters whose validation risk vector
-    achieved the smallest max gap while staying non-dominated.
+    Each step restores the snapshot it is given, runs one ``sgd_early_stop``
+    on the adaptive loss and scores the model on ``val``. The returned model
+    carries the parameters of the last accepted step.
     """
-    G = train.num_groups
-    if val.num_groups != G:
+    if val.num_groups != train.num_groups:
         raise InputError("validation set must contain every training group")
-    state = init_state(G, hp, model)
     # each step trains on a plain TrainConfig: no subclass check re-runs on seed + it
     inner = {f.name: getattr(hp, f.name) for f in fields(TrainConfig)}
-    trace: list[TraceRow] = []
-    consecutive_rejects = 0
 
-    for it in range(hp.max_outer_iters):
-        mu = state.mu.copy()
-        c = state.c
-        cfg = TrainConfig(**{**inner, "lr": state.lr, "seed": hp.seed + it})
+    def solve(start, mu, c, lr, seed):
+        model.set_params(start)
         sgd_early_stop(
             model,
             train,
             val,
             objective=lambda r: adaptive_loss(r, mu, c),
             weight_rule=lambda r: group_weights(r, mu, c),
-            config=cfg,
+            config=TrainConfig(**{**inner, "lr": lr, "seed": seed}),
             loss=loss,
         )
-        r_val = evaluate_risk(model, val, loss)
-        accepted = pf_step_accept(state, r_val)
-        if accepted:
-            pf_accept_update(state, r_val, model)
-            consecutive_rejects = 0
-        else:
-            pf_reject_update(state, model)
-            consecutive_rejects += 1
-        # the worst group's multiplier grows after rejected steps too
-        worst_group = int(np.argmax(r_val.risks))
-        state.mu[worst_group] *= 1.0 + state.gamma
-        trace.append(
-            TraceRow(
-                iteration=it,
-                accepted=accepted,
-                lr=state.lr,
-                gamma=state.gamma,
-                c=state.c,
-                mu=state.mu.copy(),
-                risks=r_val.risks.copy(),
-                max_gap=max_gap(r_val),
-            )
-        )
-        if consecutive_rejects >= hp.max_consecutive_rejects or state.lr < hp.lr_min:
-            break
+        return model.get_params(), evaluate_risk(model, val, loss)
 
-    model.set_params(state.best_params)
+    best, trace = outer_loop(solve, model.get_params(), train.num_groups, hp)
+    model.set_params(best)
     return model, trace
 
 

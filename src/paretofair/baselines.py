@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from paretofair.data import GroupedDataset, exact_header, read_table, write_table
+from paretofair.data import GroupedDataset, write_table
 from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
 from paretofair.risk import InputError, RiskVector, group_means
 
@@ -108,20 +108,6 @@ def apply_rule(rule: RandomizedGroupRule, decisions, groups, seed: int = 0) -> n
     return np.where(keep, decisions, coin)
 
 
-_RULE_HEADER = ["group", "keep_prob"]
-
-
 def save_rule_csv(rule: RandomizedGroupRule, path):
-    write_table(path, _RULE_HEADER, enumerate(rule.keep_prob))
+    write_table(path, ["group", "keep_prob"], enumerate(rule.keep_prob))
 
-
-def load_rule_csv(path) -> RandomizedGroupRule:
-    """Read a rule CSV; its group ids must be exactly 0..G-1."""
-    rows = sorted(read_table(path, exact_header(_RULE_HEADER, lambda row: (int(row[0]), float(row[1])))))
-    ids = [a for a, _ in rows]
-    if not ids or ids != list(range(len(ids))):
-        raise InputError(f"{path}: group ids must be 0..G-1, got {ids}")
-    try:
-        return RandomizedGroupRule(keep_prob=np.array([kp for _, kp in rows]))
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None

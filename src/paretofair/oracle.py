@@ -13,11 +13,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from paretofair.adaptive import group_weights
 from paretofair.data import GroupedDataset, load_key_values, write_table
 from paretofair.model import _is_int
 from paretofair.risk import InputError, RiskVector, dominates, max_gap
 
 _TOL = 1e-9
+_SOLVER_ITERS = 200  # exact_solver's cap; 13,446 solves on 202 scenarios needed at most 42
 
 
 @dataclass(frozen=True)
@@ -235,6 +237,30 @@ def reference_points(spec: ScenarioSpec, num_lambda: int = 1001):
         "pareto_fair": pf.risks,
         "equality_of_risk": eq,
     }
+
+
+def exact_solver(spec: ScenarioSpec):
+    """An inner solver for ``adaptive.outer_loop`` on the exact risks of ``spec``.
+
+    Its snapshots are scalarization vectors lambda. With mu and c fixed,
+    ``adaptive_loss(R(g), mu, c)`` is convex in the tabulated predictor g, so
+    its minimizer is the scalarized Bayes predictor at lambda proportional to
+    ``group_weights(R(g), mu, c)``; the damped fixed point
+    lambda <- (lambda + w / sum w) / 2 finds it. ``lr`` and ``seed`` are unused.
+    """
+
+    def solve(start, mu, c, lr, seed):
+        lam = np.asarray(start, dtype=float)
+        for _ in range(_SOLVER_ITERS):
+            r = exact_group_risks(spec, scalarized_bayes_predictor(spec, lam))
+            w = group_weights(r, mu, c)
+            step = 0.5 * (w / w.sum() - lam)
+            if np.max(np.abs(step)) <= 1e-13:
+                return lam, r
+            lam = lam + step
+        raise InputError(f"exact solver did not converge in {_SOLVER_ITERS} iterations (mu={mu}, c={c})")
+
+    return solve
 
 
 def sample_dataset(spec: ScenarioSpec, n: int, seed: int = 0) -> GroupedDataset:

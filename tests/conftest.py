@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from paretofair.oracle import ScenarioParams, make_scenario
+from paretofair.oracle import ScenarioParams, make_scenario, trace_front
 
 
 @pytest.fixture(scope="session")
 def acceptance_spec():
     """The fixed two-group scenario used across the suite."""
     return make_scenario(ScenarioParams())
+
+
+@pytest.fixture(scope="session")
+def front(acceptance_spec):
+    """The exact front of ``acceptance_spec`` at 1001 scalarization weights."""
+    return trace_front(acceptance_spec, 1001)
 
 
 @pytest.fixture(scope="session")

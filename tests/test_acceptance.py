@@ -2,7 +2,8 @@
 
 Each test prints one ``[criterion N] PASS``/``FAIL`` line (visible with
 ``pytest -s``). The heavy trained runs are shared across criteria via
-module-scoped fixtures.
+module-scoped fixtures; the exact front is the session-scoped
+``front`` fixture of ``conftest.py``.
 """
 
 import time
@@ -17,9 +18,7 @@ from paretofair.adaptive import (
     adaptive_loss,
     evaluate_risk,
     group_weights,
-    init_state,
     pareto_fair_optimize,
-    pf_reject_update,
 )
 from paretofair.baselines import apply_rule, fit_equalizing_rule, train_naive, train_rebalanced
 from paretofair.data import split_dataset
@@ -34,7 +33,6 @@ from paretofair.oracle import (
     sample_dataset,
     save_scenario,
     scalarized_bayes_predictor,
-    trace_front,
 )
 from paretofair.risk import RiskVector, archive_insert, group_risks, sample_losses
 from conftest import brute_force_nondominated
@@ -58,11 +56,6 @@ def criterion(n, budget_seconds=None):
         print(f"\n[criterion {n}] FAIL (runtime {elapsed:.1f}s over {budget_seconds}s budget)")
         pytest.fail(f"criterion {n} exceeded its {budget_seconds}s runtime budget ({elapsed:.1f}s)")
     print(f"\n[criterion {n}] PASS")
-
-
-@pytest.fixture(scope="module")
-def front(acceptance_spec):
-    return trace_front(acceptance_spec, 1001)
 
 
 @pytest.fixture(scope="module")
@@ -269,15 +262,8 @@ def test_criterion_09_trace_invariants(trained_runs):
             assert len(set(gaps)) == len(gaps)  # strict decrease
             for row in accepted:
                 assert row.c < row.risks.min()
-
-        # model restore on reject is bit-exact
-        model = MLPClassifier(list(ARCH), seed=0)
-        state = init_state(2, PFHyperparams(), model)
-        mutated = [W + 0.5 for W in model.weights]
-        model.set_params((mutated, model.biases))
-        pf_reject_update(state, model)
-        for W, best in zip(model.weights, state.best_params[0]):
-            assert np.array_equal(W, best)
+            # rejected steps are undone bit for bit: the returned model is the last accepted one
+            assert np.array_equal(evaluate_risk(run["pf"], run["val"]).risks, accepted[-1].risks)
 
 
 def test_criterion_10_postprocessing_equalizes(trained_runs):

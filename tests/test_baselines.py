@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from paretofair.baselines import (
     RandomizedGroupRule,
     apply_rule,
     fit_equalizing_rule,
-    load_rule_csv,
     save_rule_csv,
     train_naive,
     train_rebalanced,
@@ -128,8 +129,9 @@ class TestApplyRule:
         assert np.array_equal(a, b)
 
     def test_invalid_keep_prob(self):
-        with pytest.raises(InputError):
-            RandomizedGroupRule(keep_prob=np.array([1.2]))
+        for keep_prob in (1.2, -0.1, float("nan")):
+            with pytest.raises(InputError, match=r"keep probabilities must lie in \[0, 1\]"):
+                RandomizedGroupRule(keep_prob=np.array([keep_prob]))
 
 
 class TestRuleCsv:
@@ -137,30 +139,7 @@ class TestRuleCsv:
         rule = RandomizedGroupRule(keep_prob=np.array([0.123456789012345, 1.0]))
         path = tmp_path / "rule.csv"
         save_rule_csv(rule, path)
-        back = load_rule_csv(path)
-        assert np.array_equal(back.keep_prob, rule.keep_prob)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n0,1\n")
-        with pytest.raises(InputError):
-            load_rule_csv(path)
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("", r"rule\.csv: empty file"),
-            ("group,keep_prob\n", r"rule\.csv: group ids must be 0\.\.G-1"),
-            ("group,keep_prob\n0,1.0\n1\n", r"rule\.csv:3: expected 2 fields"),
-            ("group,keep_prob\n0,high\n", r"rule\.csv:2: "),
-            ("group,keep_prob\n0,1.0\n2,0.5\n", r"group ids must be 0\.\.G-1, got \[0, 2\]"),
-            ("group,keep_prob\n0,1.0\n0,0.5\n", r"group ids must be 0\.\.G-1, got \[0, 0\]"),
-            ("group,keep_prob\n0,1.5\n", r"rule\.csv: keep probabilities must lie in \[0, 1\]"),
-            ("group,keep_prob\n0,nan\n", r"rule\.csv: keep probabilities must lie in \[0, 1\]"),
-        ],
-    )
-    def test_malformed_files_name_the_path(self, tmp_path, text, message):
-        path = tmp_path / "rule.csv"
-        path.write_text(text)
-        with pytest.raises(InputError, match=message):
-            load_rule_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["group", "keep_prob"], ["0", "0.123456789012345"], ["1", "1.0"]]
+        assert np.array_equal([float(kp) for _, kp in rows[1:]], rule.keep_prob)

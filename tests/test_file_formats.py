@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from paretofair import cli
-from paretofair.baselines import load_rule_csv
 from paretofair.data import GroupedDataset, exact_header, load_csv, load_key_values, read_table, save_csv, write_table
 from paretofair.model import load_checkpoint
 from paretofair.oracle import load_scenario
@@ -83,7 +82,6 @@ def after(prefix):
 
 TEXT_LOADERS = [
     (load_csv, b"f0,target,group\n"),
-    (load_rule_csv, b"group,keep_prob\n"),
     (load_metrics_csv, b"method,group,ratio,accuracy,brier,n\nx,__sample_mean,,0.5,0.5,\n"),
     (lambda p: load_key_values(p, cli.ExperimentConfig), b"hidden = "),
     (lambda p: load_key_values(p, cli.ExperimentConfig), b"lr = "),
@@ -122,7 +120,6 @@ def test_checkpoint_loader_on_any_bytes(tmp_path, data):
     "load, text",
     [
         (load_csv, b"f0,target,group\n\xff,1,0\n"),
-        (load_rule_csv, b"group,keep_prob\n\xff,1\n"),
         (load_metrics_csv, b"method,group,ratio,accuracy,brier,n\n\xff,g0,1.0,0.9,0.1,10\n"),
         (lambda p: cli.build_config(p, {}), b"lr = 0.1\nmethod = \xff\n"),
         (load_scenario, b"grid_points = 11\npriors = \xfe\n"),
