@@ -178,4 +178,4 @@ def write_trace_csv(trace, path):
     header += [f"r_{a}" for a in range(G)]
     header += ["max_gap"]
     rows = ([r.iteration, int(r.accepted), r.lr, r.gamma, r.c, *r.mu, *r.risks, r.max_gap] for r in trace)
-    write_table(path, header, rows)
+    write_table(path, header, zip(*rows))

@@ -109,5 +109,5 @@ def apply_rule(rule: RandomizedGroupRule, decisions, groups, seed: int = 0) -> n
 
 
 def save_rule_csv(rule: RandomizedGroupRule, path):
-    write_table(path, ["group", "keep_prob"], enumerate(rule.keep_prob))
+    write_table(path, ["group", "keep_prob"], [list(range(len(rule.keep_prob))), rule.keep_prob])
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from itertools import chain, islice
 
 import numpy as np
 
@@ -68,9 +69,13 @@ class GroupedDataset:
 def _labels(values, name):
     """``values`` as int labels: each must be a whole number in [0, 2**53)."""
     # float64 holds every whole number below 2**53 exactly, so the int copy is exact
-    f = np.asarray(values, dtype=float)
+    message = f"{name} must be whole numbers in [0, 2**53)"
+    try:
+        f = np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise InputError(message) from None
     if not np.all((f >= 0) & (f < 2.0**53) & (f == np.floor(f))):
-        raise InputError(f"{name} must be whole numbers in [0, 2**53)")
+        raise InputError(message)
     return f.astype(int)
 
 
@@ -82,54 +87,104 @@ def _first_empty(labels):
     return int(np.argmin(present)) if np.any(present == 0) else None
 
 
-def write_table(path, header, rows):
-    """Write a CSV file: the ``header`` row, then ``rows``.
+def write_table(path, header, columns):
+    """Write a CSV file: the ``header`` row, then the rows of ``columns``.
 
-    The one place a float cell is formatted: ``repr(float(v))`` for every float
-    (numpy floats too), which reads back bit-identical. Other cells use ``str``.
+    ``columns`` yields one sequence per header entry, all of one length;
+    columns of unequal length raise ValueError. A caller that builds rows and
+    passes ``zip(*rows)`` must build them all of one length, since ``zip``
+    stops at the shortest row without a word.
+
+    The one place a float cell is formatted: ``repr(float(v))`` for every
+    float (numpy floats too), which reads back bit-identical; a float64 array
+    is formatted whole, through ``tolist``. Other cells use ``str``.
     """
+    cells = [
+        map(repr, col.tolist())
+        if isinstance(col, np.ndarray) and col.dtype == np.float64
+        else [repr(float(v)) if isinstance(v, float) else v for v in col]
+        for col in columns
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+        w.writerows(zip(*cells, strict=True))
+
+
+# rows read and parsed per block: large enough that the per-block calls cost
+# nothing, small enough that a block's strings stay in cache
+_BLOCK_ROWS = 2048
 
 
 def read_table(path, parse_header):
-    """The parsed data rows of the CSV file at ``path``.
+    """The parsed blocks of data rows of the CSV file at ``path``, in file order.
 
     ``parse_header(header)`` checks the header row and returns the function
-    that parses one data row (a list of str). An empty file, a row whose field
-    count differs from the header's, bytes that are not UTF-8, or a ValueError
-    from either function raise InputError naming ``path:line``.
+    that parses a block of data rows (a list of lists of str). Rows are read
+    ``_BLOCK_ROWS`` at a time. A block that raises ValueError is parsed again
+    one row at a time, so the parser must raise for a one-row block exactly
+    when that row is bad. An empty file, a row whose field count differs from
+    the header's, bytes that are not UTF-8, or a ValueError from either
+    function raise InputError naming ``path:line``. The rows before a bad one
+    are parsed first, so the error raised is the first in the file.
     """
+    blocks, rows, lines = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
                 raise InputError(f"{path}: empty file")
-            parse_row = parse_header(header)
-            rows = []
-            for row in reader:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                rows.append(parse_row(row))
+            parse_block = parse_header(header)
+            width = len(header)
+            while True:
+                for row in islice(reader, _BLOCK_ROWS):
+                    if len(row) != width:
+                        raise ValueError(f"expected {width} fields, got {len(row)}")
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                if rows:
+                    blocks.append(_parse_block(path, parse_block, rows, lines))
+                if len(rows) < _BLOCK_ROWS:
+                    return blocks
+                rows, lines = [], []
         except UnicodeDecodeError:
-            raise _undecodable(path) from None
+            error = _undecodable(path)
         except InputError:
             raise
         except (ValueError, csv.Error) as exc:
-            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-    return rows
+            error = InputError(f"{path}:{reader.line_num}: {exc}")
+    if rows:
+        _parse_block(path, parse_block, rows, lines)
+    raise error
 
 
-def exact_header(columns, parse_row):
+def _parse_block(path, parse_block, rows, lines):
+    """``parse_block(rows)``, or the InputError of the first row that fails alone.
+
+    ``lines`` holds the line each row ends on.
+    """
+    try:
+        return parse_block(rows)
+    except ValueError as block_exc:
+        for row, line in zip(rows, lines):
+            try:
+                parse_block([row])
+            except InputError:
+                raise
+            except ValueError as exc:
+                raise InputError(f"{path}:{line}: {exc}") from None
+        # no row fails alone: a parser that breaks the contract above
+        raise InputError(f"{path}:{lines[-1]}: {block_exc}") from None
+
+
+def exact_header(columns, parse_block):
     """A ``parse_header`` for ``read_table`` that accepts only ``columns``."""
 
     def parse_header(header):
         if header != columns:
             raise ValueError(f"unexpected header {header}, expected {columns}")
-        return parse_row
+        return parse_block
 
     return parse_header
 
@@ -149,9 +204,7 @@ def _undecodable(path):
 def save_csv(dataset: GroupedDataset, path):
     """Write a dataset as CSV with columns f0..f{d-1}, target, group."""
     header = [f"f{i}" for i in range(dataset.dim)] + ["target", "group"]
-    # whole columns through .tolist(): far cheaper than a numpy scalar per cell
-    columns = dataset.features.T.tolist() + [dataset.targets.tolist(), dataset.groups.tolist()]
-    write_table(path, header, zip(*columns))
+    write_table(path, header, [*dataset.features.T, dataset.targets.tolist(), dataset.groups.tolist()])
 
 
 def load_csv(path) -> GroupedDataset:
@@ -166,16 +219,30 @@ def load_csv(path) -> GroupedDataset:
             raise ValueError(f"feature columns must be f0..f{len(feat_cols)-1}, got {feat_cols}")
         fi = [header.index(c) for c in feat_cols]
         ti, gi = header.index("target"), header.index("group")
-        return lambda row: [float(row[j]) for j in fi] + [int(row[ti]), int(row[gi])]
+        k = len(header)
 
-    rows = read_table(path, parse_header)
-    if not rows:
+        def parse_block(rows):
+            # one conversion per column of the flattened block, features first,
+            # then target, then group: a one-row block fails on the cell that
+            # a parse of that row alone would fail on
+            flat = list(chain.from_iterable(rows))
+            features = np.empty((len(rows), len(fi)))
+            for j, col in enumerate(fi):
+                features[:, j] = np.fromiter(map(float, flat[col::k]), float, len(rows))
+            return features, list(map(int, flat[ti::k])), list(map(int, flat[gi::k]))
+
+        return parse_block
+
+    blocks = read_table(path, parse_header)
+    if not blocks:
         raise InputError(f"{path}: no data rows")
-    # one flat float row per sample and one conversion; GroupedDataset rejects
-    # labels of 2**53 and above, which float64 may have rounded
-    table = np.asarray(rows, dtype=float)
+    features, targets, groups = zip(*blocks)
     try:
-        return GroupedDataset(features=table[:, :-2], targets=table[:, -2], groups=table[:, -1])
+        return GroupedDataset(
+            features=np.concatenate(features),
+            targets=list(chain.from_iterable(targets)),
+            groups=list(chain.from_iterable(groups)),
+        )
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -191,24 +258,21 @@ def split_dataset(dataset: GroupedDataset, fractions=(0.6, 0.2, 0.2), seed: int 
         raise InputError("split fractions must be positive and sum to 1")
     rng = np.random.default_rng(seed)
     k = len(fractions)
-    buckets = [[] for _ in range(k)]
+    split_of = np.full(dataset.n, k)  # k: in no split
     keys = dataset.groups.astype(np.int64) * (dataset.targets.max() + 1) + dataset.targets
     for key in np.unique(keys):
         idx = np.flatnonzero(keys == key)
         idx = idx[rng.permutation(len(idx))]
         bounds = np.floor(np.cumsum(fractions) * len(idx)).astype(int)
-        start = 0
-        for j, stop in enumerate(bounds):
-            buckets[j].extend(idx[start:stop].tolist())
-            start = stop
+        # the rows at positions bounds[j-1]..bounds[j]-1 of idx go to split j
+        split_of[idx] = np.searchsorted(bounds, np.arange(len(idx)), side="right")
     splits = []
     G = dataset.num_groups
-    for j, bucket in enumerate(buckets):
-        if not bucket:
+    for j in range(k):
+        sub = np.flatnonzero(split_of == j)
+        if len(sub) == 0:
             raise InputError(f"split {j} is empty")
-        sub = np.sort(np.asarray(bucket))
-        part_groups = set(dataset.groups[sub].tolist())
-        if part_groups != set(range(G)):
+        if np.any(np.bincount(dataset.groups[sub], minlength=G) == 0):
             raise InputError(f"split {j} is missing a group; dataset too small for fractions")
         splits.append(dataset.subset(sub))
     return tuple(splits)

@@ -290,10 +290,12 @@ def write_front_csv(front, path):
         raise InputError("empty front")
     G = front[0].lam.shape[0]
     header = [f"lambda_{a}" for a in range(G)] + [f"r_{a}" for a in range(G)] + ["max_gap", "mean_risk"]
-    write_table(path, header, ([*p.lam, *p.risks.risks, p.max_gap, p.risks.risks.mean()] for p in front))
+    rows = ([*p.lam, *p.risks.risks, p.max_gap, p.risks.risks.mean()] for p in front)
+    write_table(path, header, zip(*rows))
 
 
 def write_reference_csv(refs: dict, path):
     G = next(iter(refs.values())).num_groups
     header = ["name"] + [f"r_{a}" for a in range(G)] + ["max_gap"]
-    write_table(path, header, ([name, *r.risks, max_gap(r)] for name, r in refs.items()))
+    rows = ([name, *r.risks, max_gap(r)] for name, r in refs.items())
+    write_table(path, header, zip(*rows))

@@ -8,6 +8,7 @@ __sample_mean, __group_mean and __discrepancy (their ratio / n cells are empty).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -58,7 +59,7 @@ def save_metrics_csv(metrics: MethodMetrics, path):
         for a in range(len(metrics.ratios))
     ]
     rows += [[metrics.method, name, "", av, bv, ""] for name, av, bv in zip(SUMMARY_ROWS, acc_s, bs_s)]
-    write_table(path, _HEADER, rows)
+    write_table(path, _HEADER, zip(*rows))
 
 
 def _parse_metrics_row(row):
@@ -70,7 +71,8 @@ def _parse_metrics_row(row):
 
 def load_metrics_csv(path):
     """Returns (method, group rows dict, summary rows dict); the method is the last row's."""
-    rows = read_table(path, exact_header(_HEADER, _parse_metrics_row))
+    blocks = read_table(path, exact_header(_HEADER, lambda rows: list(map(_parse_metrics_row, rows))))
+    rows = list(chain.from_iterable(blocks))
     summary = {name: values for _method, name, values in rows if name in SUMMARY_ROWS}
     for name in SUMMARY_ROWS:
         if name not in summary:
@@ -107,7 +109,7 @@ def combine_reports(paths, out_csv=None):
             row += summary[summary_name]
         rows.append(row)
     if out_csv is not None:
-        write_table(out_csv, header, rows)
+        write_table(out_csv, header, zip(*rows))
     return header, rows
 
 

@@ -44,6 +44,7 @@ class TestGroupedDataset:
             ([0.0, np.nan], [0, 0], "targets"),
             ([0, 1], [0.0, np.inf], "groups"),
             ([0, -1], [0, 0], "targets"),
+            ([0, 1], [0, 10**400], "groups"),  # beyond the float range
         ],
     )
     def test_labels_that_are_not_whole_numbers_rejected(self, targets, groups, name):
@@ -96,7 +97,48 @@ class TestCsvRoundTrip:
             load_csv(path)
 
 
+def reference_split(dataset, fractions, seed):
+    """split_dataset written with Python lists and sets, one bucket per split."""
+    fractions = np.asarray(fractions, dtype=float)
+    rng = np.random.default_rng(seed)
+    buckets = [[] for _ in fractions]
+    keys = dataset.groups.astype(np.int64) * (dataset.targets.max() + 1) + dataset.targets
+    for key in np.unique(keys):
+        idx = np.flatnonzero(keys == key)
+        idx = idx[rng.permutation(len(idx))]
+        start = 0
+        for j, stop in enumerate(np.floor(np.cumsum(fractions) * len(idx)).astype(int)):
+            buckets[j].extend(idx[start:stop].tolist())
+            start = stop
+    for j, bucket in enumerate(buckets):
+        if not bucket:
+            raise InputError(f"split {j} is empty")
+        if set(dataset.groups[bucket].tolist()) != set(range(dataset.num_groups)):
+            raise InputError(f"split {j} is missing a group; dataset too small for fractions")
+    return [np.sort(bucket) for bucket in buckets]
+
+
 class TestSplit:
+    @pytest.mark.parametrize("fractions", [(0.6, 0.2, 0.2), (0.5, 0.5), (1 / 3, 1 / 3, 1 / 3), (0.9, 0.05, 0.05)])
+    @pytest.mark.parametrize("n, G, seed", [(7, 1, 0), (40, 2, 1), (301, 3, 2), (1000, 4, 3)])
+    def test_matches_the_bucket_reference(self, fractions, n, G, seed):
+        rng = np.random.default_rng(seed)
+        ds = GroupedDataset(
+            features=rng.standard_normal((n, 2)), targets=rng.integers(0, 3, n), groups=np.arange(n) % G
+        )
+        try:
+            want = reference_split(ds, fractions, seed)
+        except InputError as exc:
+            with pytest.raises(InputError, match=f"^{exc}$"):
+                split_dataset(ds, fractions, seed=seed)
+            return
+        parts = split_dataset(ds, fractions, seed=seed)
+        assert len(parts) == len(want)
+        for part, rows in zip(parts, want):
+            assert np.array_equal(part.features, ds.features[rows])
+            assert np.array_equal(part.targets, ds.targets[rows])
+            assert np.array_equal(part.groups, ds.groups[rows])
+
     def test_fractions_validated(self):
         ds = small_dataset()
         with pytest.raises(InputError):

@@ -1,17 +1,30 @@
 """Every file the tool reads: exact round trips, and on any input either a
 result or an InputError that names the file."""
 
+import csv
+import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from paretofair import cli
-from paretofair.data import GroupedDataset, exact_header, load_csv, load_key_values, read_table, save_csv, write_table
+from paretofair.data import (
+    _BLOCK_ROWS,
+    GroupedDataset,
+    _undecodable,
+    exact_header,
+    load_csv,
+    load_key_values,
+    read_table,
+    save_csv,
+    write_table,
+)
 from paretofair.model import load_checkpoint
 from paretofair.oracle import load_scenario
-from paretofair.report import load_metrics_csv
+from paretofair.report import SUMMARY_ROWS, _HEADER, _parse_metrics_row, load_metrics_csv
 from paretofair.risk import InputError
 
 # one file per example, rewritten in place
@@ -28,8 +41,11 @@ def bits(values):
 @given(st.lists(st.tuples(finite, st.integers(-1000, 1000), finite), max_size=20))
 def test_table_round_trip_is_exact(tmp_path, rows):
     path = tmp_path / "t.csv"
-    write_table(path, ["x", "k", "y"], rows)
-    back = read_table(path, exact_header(["x", "k", "y"], lambda r: (float(r[0]), int(r[1]), float(r[2]))))
+    xs, ks, ys = ([r[j] for r in rows] for j in range(3))
+    # a float64 array column is formatted whole, a list column cell by cell
+    write_table(path, ["x", "k", "y"], [np.array(xs, dtype=float), ks, ys])
+    parse_block = lambda block: [(float(r[0]), int(r[1]), float(r[2])) for r in block]
+    back = [row for block in read_table(path, exact_header(["x", "k", "y"], parse_block)) for row in block]
     assert [k for _x, k, _y in back] == [k for _x, k, _y in rows]
     for col in (0, 2):
         assert bits([r[col] for r in back]) == bits([r[col] for r in rows])
@@ -88,6 +104,192 @@ TEXT_LOADERS = [
     (load_scenario, b"priors = "),
     (load_scenario, b"grid_points = "),
 ]
+
+
+# -- the block reader against a per-row reference ------------------------------
+
+
+def reference_read_table(path, parse_header):
+    """The CSV reader that parses one row per call, with ``parse_header`` returning a row parser."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file")
+            parse_row = parse_header(header)
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                rows.append(parse_row(row))
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
+        except InputError:
+            raise
+        except (ValueError, csv.Error) as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+    return rows
+
+
+def reference_load_csv(path):
+    """load_csv over the per-row reader: one float row per sample, then one conversion."""
+
+    def parse_header(header):
+        for col in ("target", "group"):
+            if col not in header:
+                raise ValueError(f"missing required column '{col}'")
+        feat_cols = [c for c in header if c not in ("target", "group")]
+        if feat_cols != [f"f{i}" for i in range(len(feat_cols))]:
+            raise ValueError(f"feature columns must be f0..f{len(feat_cols)-1}, got {feat_cols}")
+        fi = [header.index(c) for c in feat_cols]
+        ti, gi = header.index("target"), header.index("group")
+        return lambda row: [float(row[j]) for j in fi] + [int(row[ti]), int(row[gi])]
+
+    rows = reference_read_table(path, parse_header)
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    table = np.asarray(rows, dtype=float)
+    try:
+        return GroupedDataset(features=table[:, :-2], targets=table[:, -2], groups=table[:, -1])
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def reference_load_metrics_csv(path):
+    """load_metrics_csv over the per-row reader."""
+    rows = reference_read_table(path, exact_header(_HEADER, _parse_metrics_row))
+    summary = {name: values for _method, name, values in rows if name in SUMMARY_ROWS}
+    for name in SUMMARY_ROWS:
+        if name not in summary:
+            raise InputError(f"{path}: missing summary row {name}")
+    groups = {name: values for _method, name, values in rows if name not in SUMMARY_ROWS}
+    return rows[-1][0], groups, summary
+
+
+def exactly(value):
+    """``value`` with each float replaced by its bits, so NaN, -0.0 and dtypes compare exactly."""
+    if isinstance(value, GroupedDataset):
+        arrays = (value.features, value.targets, value.groups)
+        return [(a.dtype.str, a.shape, a.view(np.int64).tolist()) for a in arrays]
+    if isinstance(value, float):
+        return struct.unpack("<q", struct.pack("<d", value))[0]
+    if isinstance(value, dict):
+        return [(k, exactly(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [exactly(v) for v in value]
+    return value
+
+
+def outcome(load, path):
+    try:
+        return "result", exactly(load(path))
+    except InputError as exc:
+        return "error", str(exc)
+
+
+METRICS_PREFIX = b"method,group,ratio,accuracy,brier,n\nx,__sample_mean,,0.5,0.5,\n"
+DATASET = (load_csv, reference_load_csv, b"f0,target,group\n")
+METRICS = (load_metrics_csv, reference_load_metrics_csv, METRICS_PREFIX)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, _BLOCK_ROWS])
+@pytest.mark.parametrize("load, reference, prefix", [DATASET, METRICS])
+@FILE_SETTINGS
+@given(data=st.data())
+def test_block_reader_matches_the_per_row_reader(tmp_path, block_rows, load, reference, prefix, data):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data.draw(after(prefix)))
+    with mock.patch("paretofair.data._BLOCK_ROWS", block_rows):
+        assert outcome(load, path) == outcome(reference, path)
+
+
+GOOD = b"0.5,1,0\n"
+
+
+@pytest.mark.parametrize(
+    "load, reference, head, body, message",
+    [
+        # a quoted cell over lines 2-4 that parses, then a bad cell on line 5
+        (*DATASET, b'"\n0.5\n",1,0\n0.5,x,0\n', "5: invalid literal for int"),
+        (*METRICS, b'"a\nb",g0,0.5,0.5,0.5,3\nx,g1,y,0,0,0\n', "5: could not convert"),
+        (*DATASET, GOOD + b"\n" + GOOD, "3: expected 3 fields, got 0"),
+        # more than one block, the bad cell in the last one
+        (*DATASET, GOOD * (2 * _BLOCK_ROWS + 3) + b"0.5,1,z\n", f"{2 * _BLOCK_ROWS + 5}: invalid"),
+        # a bad cell in a full block, and a bad field count in the next
+        (*DATASET, GOOD * 3 + b"e,1,0\n" + GOOD * _BLOCK_ROWS + b"1\n", "5: could not"),
+        # a bad field count in the first block, before a bad cell in the second
+        (*DATASET, b"1\n" + GOOD * _BLOCK_ROWS + b"e,1,0\n", "2: expected 3 fields, got 1"),
+        # a bad cell, then bytes that are not UTF-8 past the first 8 KiB that
+        # the decoder reads, in the same block
+        (*DATASET, b"e,1,0\n" + GOOD * 2000 + b"\xff,1,0\n", "2: could not"),
+        (*DATASET, GOOD * 2000 + b"\xff,1,0\n", "2002: 'utf-8' codec"),
+    ],
+)
+def test_block_reader_errors_name_the_first_bad_line(tmp_path, load, reference, head, body, message):
+    path = tmp_path / "d.csv"
+    path.write_bytes(head + body)
+    want = outcome(reference, path)
+    assert want[0] == "error" and want[1].startswith(f"{path}:{message}")
+    assert outcome(load, path) == want
+
+
+def test_load_csv_takes_columns_by_name(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("target,f0,group,f1\n1,0.5,0,-2.5\n0,1.5,1,3.0\n")
+    ds = load_csv(path)
+    assert ds.features.tolist() == [[0.5, -2.5], [1.5, 3.0]]
+    assert ds.targets.tolist() == [1, 0]
+    assert ds.groups.tolist() == [0, 1]
+
+
+def test_dataset_of_two_blocks_and_a_row_round_trips(tmp_path):
+    n = 2 * _BLOCK_ROWS + 1
+    rng = np.random.default_rng(0)
+    features = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
+    ds = GroupedDataset(features=features, targets=rng.integers(0, 3, n), groups=np.arange(n) % 2)
+    path = tmp_path / "d.csv"
+    save_csv(ds, path)
+    assert exactly(load_csv(path)) == exactly(ds)
+    assert exactly(load_csv(path)) == exactly(reference_load_csv(path))
+
+
+# -- the column writer against a per-row reference ------------------------------
+
+
+def reference_write_table(path, header, rows):
+    """The CSV writer that formats one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]) | st.floats()
+QUOTED = st.sampled_from([",", '"', "\n", "", "a,b", 'say "hi"', "two\nlines", " pad "])
+CELLS = FLOATS | FLOATS.map(np.float64) | st.integers() | st.integers(-(2**63), 2**63 - 1).map(np.int64) | QUOTED
+
+
+@st.composite
+def tables(draw):
+    """Columns of one length: float64 arrays, or lists of any cells."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    columns = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            columns.append(np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float))
+        else:
+            columns.append(draw(st.lists(CELLS, min_size=n, max_size=n)))
+    return columns
+
+
+@FILE_SETTINGS
+@given(tables())
+def test_column_writer_matches_the_row_writer(tmp_path, columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    write_table(tmp_path / "new.csv", header, columns)
+    reference_write_table(tmp_path / "ref.csv", header, zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("load, prefix", TEXT_LOADERS)
