@@ -19,7 +19,7 @@ from paretofair.data import GroupedDataset, _first_empty, load_csv, load_key_val
 from paretofair.model import (
     ACTIVATIONS, MLPClassifier, _check_field, _is_int, load_checkpoint, save_checkpoint,
 )
-from paretofair.risk import LOSSES, InputError
+from paretofair.risk import LOSSES, InputError, max_gap
 
 METHODS = ("naive", "rebalanced", "paretofair")
 
@@ -86,12 +86,13 @@ def cmd_oracle(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     front_path = os.path.join(args.out, "front.csv")
     refs_path = os.path.join(args.out, "reference_points.csv")
+    refs = oracle.reference_points(spec, front)
     oracle.write_front_csv(front, front_path)
-    oracle.write_reference_csv(oracle.reference_points(spec, args.num_lambda), refs_path)
-    pf = oracle.pareto_fair_point(front)
+    oracle.write_reference_csv(refs, refs_path)
+    pf = refs["pareto_fair"]
     print(
         f"front: {len(front)} points -> {front_path}; "
-        f"pareto-fair risks {np.array2string(pf.risks.risks, precision=4)} gap {pf.max_gap:.4f}"
+        f"pareto-fair risks {np.array2string(pf.risks, precision=4)} gap {max_gap(pf):.4f}"
     )
     return 0
 

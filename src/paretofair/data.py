@@ -258,12 +258,13 @@ def split_dataset(dataset: GroupedDataset, fractions=(0.6, 0.2, 0.2), seed: int 
         raise InputError("split fractions must be positive and sum to 1")
     rng = np.random.default_rng(seed)
     k = len(fractions)
-    split_of = np.full(dataset.n, k)  # k: in no split
+    split_of = np.empty(dataset.n, dtype=int)
     keys = dataset.groups.astype(np.int64) * (dataset.targets.max() + 1) + dataset.targets
     for key in np.unique(keys):
         idx = np.flatnonzero(keys == key)
         idx = idx[rng.permutation(len(idx))]
         bounds = np.floor(np.cumsum(fractions) * len(idx)).astype(int)
+        bounds[-1] = len(idx)  # fractions may sum to 0.9999999999999999 (0.7, 0.2, 0.1)
         # the rows at positions bounds[j-1]..bounds[j]-1 of idx go to split j
         split_of[idx] = np.searchsorted(bounds, np.arange(len(idx)), side="right")
     splits = []

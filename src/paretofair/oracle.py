@@ -9,6 +9,7 @@ here are exact expectations under the binary two-class squared loss
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -181,17 +182,8 @@ def _simplex_grid(G: int, num_lambda: int):
         return [np.array([t, 1.0 - t]) for t in ts]
     # coarse lattice for G >= 3: all compositions of m into G parts
     m = max(2, int(round(num_lambda ** (1.0 / (G - 1)))))
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(np.array(prefix + [remaining]) / m)
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], m, G)
-    return out
+    heads = (c for c in itertools.product(range(m + 1), repeat=G - 1) if sum(c) <= m)
+    return [np.array([*c, m - sum(c)]) / m for c in heads]
 
 
 def trace_front(spec: ScenarioSpec, num_lambda: int = 1001):
@@ -202,11 +194,8 @@ def trace_front(spec: ScenarioSpec, num_lambda: int = 1001):
     for lam in _simplex_grid(spec.num_groups, num_lambda):
         r = exact_group_risks(spec, scalarized_bayes_predictor(spec, lam))
         points.append(FrontPoint(lam=lam, risks=r, max_gap=max_gap(r)))
-    keep = []
-    for i, p in enumerate(points):
-        if any(dominates(q.risks, p.risks) for j, q in enumerate(points) if j != i):
-            continue
-        keep.append(p)
+    # dominates(p, p) is False, so p need not be skipped in its own scan
+    keep = [p for p in points if not any(dominates(q.risks, p.risks) for q in points)]
     keep.sort(key=lambda p: (float(p.risks.risks[0]), float(p.risks.risks[-1])))
     return keep
 
@@ -218,12 +207,15 @@ def pareto_fair_point(front) -> FrontPoint:
     return min(front, key=lambda p: (p.max_gap, float(p.risks.risks.mean())))
 
 
-def reference_points(spec: ScenarioSpec, num_lambda: int = 1001):
-    """Named risk vectors: naive, rebalanced, pareto_fair, equality_of_risk."""
+def reference_points(spec: ScenarioSpec, front):
+    """Named risk vectors: naive, rebalanced, pareto_fair, equality_of_risk.
+
+    ``front`` is the traced front of ``spec`` (``trace_front``); the
+    Pareto-fair row is its ``pareto_fair_point``, and nothing is traced here.
+    """
     naive = exact_group_risks(spec, scalarized_bayes_predictor(spec, spec.priors))
     uniform = np.full(spec.num_groups, 1.0 / spec.num_groups)
     rebalanced = exact_group_risks(spec, scalarized_bayes_predictor(spec, uniform))
-    front = trace_front(spec, num_lambda)
     pf = pareto_fair_point(front)
     # every group degraded (by mixing toward the uninformative predictor) to
     # the worst Pareto-fair group risk

@@ -33,6 +33,7 @@ from paretofair.oracle import (
     sample_dataset,
     save_scenario,
     scalarized_bayes_predictor,
+    trace_front,
 )
 from paretofair.risk import RiskVector, archive_insert, group_risks, sample_losses
 from conftest import brute_force_nondominated
@@ -222,7 +223,7 @@ def test_criterion_05_perfect_fairness_unattainable(front):
 
 def test_criterion_06_symmetric_zero_gap(symmetric_spec):
     with criterion(6):
-        refs = reference_points(symmetric_spec, 1001)
+        refs = reference_points(symmetric_spec, trace_front(symmetric_spec, 1001))
         pf = refs["pareto_fair"].risks
         assert pf.max() - pf.min() <= 1e-6
         assert np.all(np.abs(pf - refs["naive"].risks) <= 1e-6)

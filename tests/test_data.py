@@ -106,8 +106,10 @@ def reference_split(dataset, fractions, seed):
     for key in np.unique(keys):
         idx = np.flatnonzero(keys == key)
         idx = idx[rng.permutation(len(idx))]
+        stops = np.floor(np.cumsum(fractions) * len(idx)).astype(int)
+        stops[-1] = len(idx)
         start = 0
-        for j, stop in enumerate(np.floor(np.cumsum(fractions) * len(idx)).astype(int)):
+        for j, stop in enumerate(stops):
             buckets[j].extend(idx[start:stop].tolist())
             start = stop
     for j, bucket in enumerate(buckets):
@@ -119,7 +121,10 @@ def reference_split(dataset, fractions, seed):
 
 
 class TestSplit:
-    @pytest.mark.parametrize("fractions", [(0.6, 0.2, 0.2), (0.5, 0.5), (1 / 3, 1 / 3, 1 / 3), (0.9, 0.05, 0.05)])
+    @pytest.mark.parametrize(
+        "fractions",
+        [(0.6, 0.2, 0.2), (0.5, 0.5), (1 / 3, 1 / 3, 1 / 3), (0.9, 0.05, 0.05), (0.7, 0.2, 0.1), (0.6, 0.3, 0.1)],
+    )
     @pytest.mark.parametrize("n, G, seed", [(7, 1, 0), (40, 2, 1), (301, 3, 2), (1000, 4, 3)])
     def test_matches_the_bucket_reference(self, fractions, n, G, seed):
         rng = np.random.default_rng(seed)
@@ -133,6 +138,8 @@ class TestSplit:
                 split_dataset(ds, fractions, seed=seed)
             return
         parts = split_dataset(ds, fractions, seed=seed)
+        # every row lands in a split, also where the fractions sum to 0.9999999999999999
+        assert sum(part.n for part in parts) == n
         assert len(parts) == len(want)
         for part, rows in zip(parts, want):
             assert np.array_equal(part.features, ds.features[rows])

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from paretofair import oracle
 from paretofair.oracle import (
+    FrontPoint,
     ScenarioParams,
     ScenarioSpec,
     bayes_noise,
@@ -17,8 +19,9 @@ from paretofair.oracle import (
     scalarized_bayes_predictor,
     trace_front,
     write_front_csv,
+    _simplex_grid,
 )
-from paretofair.risk import InputError, dominates, group_risks
+from paretofair.risk import InputError, RiskVector, dominates, group_risks
 from conftest import THREE_GROUP_PARAMS, brute_force_nondominated
 
 
@@ -275,20 +278,66 @@ class TestParetoFairPoint:
 
 class TestReferencePoints:
     def test_symmetric_all_coincide(self, symmetric_spec):
-        refs = reference_points(symmetric_spec, 101)
+        refs = reference_points(symmetric_spec, trace_front(symmetric_spec, 101))
         assert np.allclose(refs["naive"].risks, refs["rebalanced"].risks, atol=1e-9)
         assert np.allclose(refs["naive"].risks, refs["pareto_fair"].risks, atol=1e-9)
 
-    def test_naive_harms_minority(self, acceptance_spec):
-        refs = reference_points(acceptance_spec, 201)
+    def test_naive_harms_minority(self, acceptance_spec, front):
+        refs = reference_points(acceptance_spec, front)
         assert refs["naive"].risks[1] > refs["rebalanced"].risks[1]
 
-    def test_equality_of_risk_properties(self, acceptance_spec):
-        refs = reference_points(acceptance_spec, 201)
+    def test_equality_of_risk_properties(self, acceptance_spec, front):
+        refs = reference_points(acceptance_spec, front)
         eq = refs["equality_of_risk"].risks
         pf = refs["pareto_fair"].risks
         assert eq.max() - eq.min() == pytest.approx(0.0)
         assert np.all(pf <= eq + 1e-12)  # weak dominance
+
+    def test_reads_the_given_front_and_traces_nothing(self, acceptance_spec, monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("reference_points traced a front")
+
+        monkeypatch.setattr(oracle, "trace_front", no_trace)
+        hand_built = [
+            FrontPoint(lam=np.array([1.0, 0.0]), risks=RiskVector([0.1, 0.5], [0, 0]), max_gap=0.4),
+            FrontPoint(lam=np.array([0.5, 0.5]), risks=RiskVector([0.2, 0.3], [0, 0]), max_gap=0.1),
+            FrontPoint(lam=np.array([0.0, 1.0]), risks=RiskVector([0.4, 0.2], [0, 0]), max_gap=0.2),
+        ]
+        refs = reference_points(acceptance_spec, hand_built)
+        assert np.array_equal(refs["pareto_fair"].risks, [0.2, 0.3])
+        assert np.array_equal(refs["equality_of_risk"].risks, [0.3, 0.3])
+        naive = scalarized_bayes_predictor(acceptance_spec, acceptance_spec.priors)
+        assert np.array_equal(refs["naive"].risks, exact_group_risks(acceptance_spec, naive).risks)
+
+
+def recursive_simplex_grid(G, num_lambda):
+    """The lattice of _simplex_grid as a recursive enumeration of compositions."""
+    if G == 1:
+        return [np.array([1.0])]
+    if G == 2:
+        return [np.array([t, 1.0 - t]) for t in np.linspace(0.0, 1.0, num_lambda)]
+    m = max(2, int(round(num_lambda ** (1.0 / (G - 1)))))
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(np.array(prefix + [remaining]) / m)
+            return
+        for v in range(remaining + 1):
+            rec(prefix + [v], remaining - v, slots - 1)
+
+    rec([], m, G)
+    return out
+
+
+@pytest.mark.parametrize("num_lambda", [3, 11, 101, 1001])
+@pytest.mark.parametrize("G", [1, 2, 3, 4, 5])
+def test_simplex_grid_matches_the_recursive_enumeration_bitwise(G, num_lambda):
+    got = _simplex_grid(G, num_lambda)
+    want = recursive_simplex_grid(G, num_lambda)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestGridRefinement:

@@ -1,3 +1,4 @@
+import csv
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paretofair import cli
+from paretofair import cli, oracle
 from paretofair.adaptive import PFHyperparams
 from paretofair.data import GroupedDataset, load_csv, save_csv
 from paretofair.model import MLPClassifier, TrainConfig, load_checkpoint, save_checkpoint
@@ -211,12 +212,28 @@ class TestCliCommands:
         assert ds.n == 300
         assert ds.num_groups == 2
 
-    def test_oracle_outputs(self, scenario_file, tmp_path):
+    def test_oracle_outputs(self, scenario_file, tmp_path, monkeypatch, capsys):
+        # one traced front feeds front.csv, reference_points.csv and the summary
+        calls = {"trace_front": 0, "pareto_fair_point": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
         out = tmp_path / "oracle"
         rc = cli.main(["oracle", "--scenario", scenario_file, "--num-lambda", "51", "--out", str(out)])
         assert rc == 0
         assert (out / "front.csv").exists()
-        assert (out / "reference_points.csv").exists()
+        assert calls == {"trace_front": 1, "pareto_fair_point": 1}
+        printed_gap = re.search(r"gap (\S+)$", capsys.readouterr().out.strip()).group(1)
+        with open(out / "reference_points.csv", newline="") as fh:
+            refs = {row["name"]: row for row in csv.DictReader(fh)}
+        assert printed_gap == f"{float(refs['pareto_fair']['max_gap']):.4f}"
 
     def test_train_naive_small(self, scenario_file, tmp_path):
         cfg = tmp_path / "cfg.txt"
