@@ -17,14 +17,14 @@ import numpy as np
 
 from paretofair.data import GroupedDataset, write_table
 from paretofair.model import MLPClassifier, TrainConfig, _check_field, _is_int, sgd_early_stop
-from paretofair.risk import InputError, RiskVector, archive_insert, group_risks, max_gap
+from paretofair.risk import InputError, archive_insert, group_risks, max_gap
 
 _EPS = 1e-12
 
 
 def _penalty_terms(r, mu, c: float):
     """(risks, mu, (risks - c)^+) of the adaptive loss, with mu checked against the risks."""
-    risks = r.risks if isinstance(r, RiskVector) else np.asarray(r, dtype=float)
+    risks = np.asarray(r, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != risks.shape:
         raise InputError("mu length does not match number of groups")
@@ -76,7 +76,7 @@ class PFHyperparams(TrainConfig):
         _check_field(self, "lr_min", self.lr_min >= 0, "nonnegative")
 
 
-def evaluate_risk(model: MLPClassifier, val: GroupedDataset, loss: str = "brier") -> RiskVector:
+def evaluate_risk(model: MLPClassifier, val: GroupedDataset, loss: str = "brier") -> np.ndarray:
     probs = model.forward(val.features)
     return group_risks(probs, val.targets, val.groups, loss)
 
@@ -96,14 +96,15 @@ class TraceRow:
 def outer_loop(solve, start, G: int, hp: PFHyperparams):
     """The outer loop over an inner solver; returns (best_snapshot, trace).
 
-    ``solve(start, mu, c, lr, seed) -> (snapshot, RiskVector)`` minimizes the
+    ``solve(start, mu, c, lr, seed) -> (snapshot, risks)`` minimizes the
     adaptive loss at multipliers ``mu`` and threshold ``c`` from the snapshot
-    ``start``. Every step starts from the best accepted snapshot, so a
-    rejected step is undone by dropping its snapshot. A step is accepted iff
-    its gap strictly improves and no accepted risk vector dominates it. An
-    accept moves ``c`` to min risk / k and rescales the multipliers to mu*,
-    which keeps each group's weight at the accepted risks; a reject restores
-    mu* and decays ``lr`` and the bump ``gamma``.
+    ``start``; ``risks`` is the snapshot's float array of G group risks.
+    Every step starts from the best accepted snapshot, so a rejected step is
+    undone by dropping its snapshot. A step is accepted iff its gap strictly
+    improves and no accepted risk vector dominates it. An accept moves ``c``
+    to min risk / k and rescales the multipliers to mu*, which keeps each
+    group's weight at the accepted risks; a reject restores mu* and decays
+    ``lr`` and the bump ``gamma``.
     """
     mu = np.full(G, hp.mu_init)
     mu_star = mu.copy()
@@ -114,9 +115,9 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
         gap = max_gap(r)
         accepted, kept = archive_insert(archive, r) if gap < gamma_star else (False, archive)
         if accepted:
-            c_old, c = c, float(r.risks.min()) / hp.k
-            num = np.maximum(r.risks - c_old, 0.0)
-            den = np.maximum(r.risks - c, 0.0)
+            c_old, c = c, float(r.min()) / hp.k
+            num = np.maximum(r - c_old, 0.0)
+            den = np.maximum(r - c, 0.0)
             mu_star = mu * np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
             best, archive, gamma_star, rejects = snapshot, kept, gap, 0
         else:
@@ -125,8 +126,8 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
             gamma *= hp.xi
             rejects += 1
         # the worst group's multiplier grows after rejected steps too
-        mu[int(np.argmax(r.risks))] *= 1.0 + gamma
-        trace.append(TraceRow(it, accepted, lr, gamma, c, mu.copy(), r.risks.copy(), gap))
+        mu[int(np.argmax(r))] *= 1.0 + gamma
+        trace.append(TraceRow(it, accepted, lr, gamma, c, mu.copy(), r.copy(), gap))
         if rejects >= hp.max_consecutive_rejects or lr < hp.lr_min:
             break
     return best, trace

@@ -9,11 +9,11 @@ import numpy as np
 
 from paretofair.data import GroupedDataset, write_table
 from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
-from paretofair.risk import InputError, RiskVector, group_means
+from paretofair.risk import InputError, group_means
 
 
-def _uniform_weights(r: RiskVector) -> np.ndarray:
-    return np.ones(r.num_groups)
+def _uniform_weights(r) -> np.ndarray:
+    return np.ones(len(r))
 
 
 def train_naive(
@@ -24,9 +24,10 @@ def train_naive(
     loss: str = "brier",
 ):
     """Plain ERM: uniform sampling, objective = sample-weighted mean risk."""
+    counts = np.bincount(val.groups)
 
-    def objective(r: RiskVector) -> float:
-        return float(np.dot(r.risks, r.counts) / r.counts.sum())
+    def objective(r) -> float:
+        return float(np.dot(r, counts) / counts.sum())
 
     model, _, _ = sgd_early_stop(model, train, val, objective, _uniform_weights, config, loss, stratified=False)
     return model
@@ -41,8 +42,8 @@ def train_rebalanced(
 ):
     """Equal per-group sampling, objective = unweighted mean of group risks."""
 
-    def objective(r: RiskVector) -> float:
-        return float(r.risks.mean())
+    def objective(r) -> float:
+        return float(r.mean())
 
     model, _, _ = sgd_early_stop(model, train, val, objective, _uniform_weights, config, loss)
     return model

@@ -92,7 +92,7 @@ def cmd_oracle(args) -> int:
     pf = refs["pareto_fair"]
     print(
         f"front: {len(front)} points -> {front_path}; "
-        f"pareto-fair risks {np.array2string(pf.risks, precision=4)} gap {max_gap(pf):.4f}"
+        f"pareto-fair risks {np.array2string(pf, precision=4)} gap {max_gap(pf):.4f}"
     )
     return 0
 

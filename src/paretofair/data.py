@@ -254,7 +254,7 @@ def split_dataset(dataset: GroupedDataset, fractions=(0.6, 0.2, 0.2), seed: int 
     split would miss a group.
     """
     fractions = np.asarray(fractions, dtype=float)
-    if np.any(fractions <= 0) or abs(float(fractions.sum()) - 1.0) > 1e-9:
+    if not (np.all(fractions > 0) and abs(float(fractions.sum()) - 1.0) <= 1e-9):  # NaN fails too
         raise InputError("split fractions must be positive and sum to 1")
     rng = np.random.default_rng(seed)
     k = len(fractions)

@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from paretofair.data import GroupedDataset
-from paretofair.risk import InputError, RiskVector, _check_targets, _losses_and_grads, group_means, group_risks
+from paretofair.risk import InputError, _check_targets, _losses_and_grads, group_means, group_risks
 
 ACTIVATIONS = ("relu", "tanh")
 _CKPT_MAGIC = b"PFCKPT1\n"
@@ -179,8 +179,7 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
 
 def _rule_weights(weight_rule, groups, G: int, losses) -> np.ndarray:
     """Per-sample weights of one minibatch: its group risks mapped through ``weight_rule``."""
-    r_hat, counts = group_means(losses, groups, G)
-    w_groups = np.asarray(weight_rule(RiskVector(risks=r_hat, counts=counts)), dtype=float)
+    w_groups = np.asarray(weight_rule(group_means(losses, groups, G)[0]), dtype=float)
     return w_groups[groups]
 
 
@@ -198,15 +197,19 @@ def sgd_early_stop(
 
     Each minibatch estimates per-group risks, maps them through
     ``weight_rule`` to G weights, and applies those as sample weights in the
-    gradient. The risks come from the forward pass of the gradient itself
+    gradient. ``weight_rule`` receives the batch's mean loss per group, a
+    float array of length G (0 for a group the batch does not hold). The
+    risks come from the forward pass of the gradient itself
     (``weighted_grad`` takes the weights as a function of the batch's
     losses), so a step runs one forward and one backward pass. ``stratified``
     batches take ceil(batch_size / G) rows of each group, drawn with
     replacement; otherwise each epoch walks one permutation of the rows.
-    After each epoch the ``objective`` (a function of the validation
-    RiskVector) is evaluated; the best parameters seen are restored at the
-    end. Training stops once ``patience`` consecutive epochs bring no
-    improvement, or at ``max_epochs``.
+    After each epoch the ``objective`` is evaluated on the validation group
+    risks, the float array of length G that ``group_risks`` gives; the best
+    parameters seen are restored at the end. Training stops once
+    ``patience`` consecutive epochs bring no improvement, or at
+    ``max_epochs``. Non-finite losses, as from a diverged model, raise
+    InputError at the minibatch that meets them.
 
     Returns (model, best_val_objective, epochs_run). The model is updated in
     place and also returned.

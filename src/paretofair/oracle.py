@@ -17,7 +17,7 @@ import numpy as np
 from paretofair.adaptive import group_weights
 from paretofair.data import GroupedDataset, load_key_values, write_table
 from paretofair.model import _is_int
-from paretofair.risk import InputError, RiskVector, dominates, max_gap
+from paretofair.risk import InputError, dominates, max_gap
 
 _TOL = 1e-9
 _SOLVER_ITERS = 200  # exact_solver's cap; 13,446 solves on 202 scenarios needed at most 42
@@ -56,6 +56,8 @@ class ScenarioSpec:
         G, B = density.shape
         if grid.shape != (B,) or eta.shape != (G, B) or priors.shape != (G,):
             raise InputError("inconsistent grid / priors / density / eta shapes")
+        if not all(np.all(np.isfinite(v)) for v in (grid, priors, density, eta)):
+            raise InputError("grid, priors, density and eta must be finite")
         if abs(float(priors.sum()) - 1.0) > _TOL or np.any(priors < 0):
             raise InputError("priors must be nonnegative and sum to 1")
         if np.any(np.abs(density.sum(axis=1) - 1.0) > _TOL) or np.any(density < 0):
@@ -76,13 +78,6 @@ class ScenarioSpec:
         return self.grid.shape[0]
 
 
-@dataclass(frozen=True)
-class FrontPoint:
-    lam: np.ndarray
-    risks: RiskVector
-    max_gap: float
-
-
 def make_scenario(params: ScenarioParams = ScenarioParams()) -> ScenarioSpec:
     """Build the two-group two-level scenario with bell-shaped densities.
 
@@ -97,7 +92,11 @@ def make_scenario(params: ScenarioParams = ScenarioParams()) -> ScenarioSpec:
     for lo, hi in zip(params.rho_low, params.rho_high):
         if not (0 <= lo < hi <= 1):
             raise InputError("need 0 <= rho_low < rho_high <= 1 per group")
-    if params.grid_points < 2 or params.grid_max <= params.grid_min:
+    if not np.all(np.isfinite(params.density_centers)):
+        raise InputError("density_centers must be finite")
+    if not np.all(np.asarray(params.density_widths, dtype=float) > 0):
+        raise InputError("density_widths must be positive")
+    if not (params.grid_points >= 2 and -np.inf < params.grid_min < params.grid_max < np.inf):
         raise InputError("invalid grid bounds")
     x = np.linspace(params.grid_min, params.grid_max, params.grid_points)
     transitions = [
@@ -141,21 +140,19 @@ def _pointwise_risk(eta_row, g):
     return eta_row * 2.0 * (1.0 - g) ** 2 + (1.0 - eta_row) * 2.0 * g**2
 
 
-def exact_group_risks(spec: ScenarioSpec, g) -> RiskVector:
-    """Exact per-group expected squared loss of the tabulated predictor g."""
+def exact_group_risks(spec: ScenarioSpec, g) -> np.ndarray:
+    """Exact per-group expected squared loss of the tabulated predictor g, a G-vector."""
     g = np.asarray(g, dtype=float)
     if g.shape != (spec.num_points,):
         raise InputError("predictor table does not match the grid")
-    if np.any(g < 0) or np.any(g > 1):
+    if not np.all((g >= 0) & (g <= 1)):  # NaN fails too
         raise InputError("predictor values must lie in [0, 1]")
-    risks = np.einsum("ab,ab->a", spec.density, _pointwise_risk(spec.eta, g[None, :]))
-    return RiskVector(risks=risks, counts=np.zeros(spec.num_groups, dtype=int))
+    return np.einsum("ab,ab->a", spec.density, _pointwise_risk(spec.eta, g[None, :]))
 
 
-def bayes_noise(spec: ScenarioSpec) -> RiskVector:
+def bayes_noise(spec: ScenarioSpec) -> np.ndarray:
     """Smallest achievable risk per group: sum_x p(x|a) * 2 eta (1 - eta)."""
-    risks = np.einsum("ab,ab->a", spec.density, 2.0 * spec.eta * (1.0 - spec.eta))
-    return RiskVector(risks=risks, counts=np.zeros(spec.num_groups, dtype=int))
+    return np.einsum("ab,ab->a", spec.density, 2.0 * spec.eta * (1.0 - spec.eta))
 
 
 def scalarized_bayes_predictor(spec: ScenarioSpec, lam) -> np.ndarray:
@@ -165,7 +162,7 @@ def scalarized_bayes_predictor(spec: ScenarioSpec, lam) -> np.ndarray:
     zero weighted density get the uninformative value 0.5.
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (spec.num_groups,) or np.any(lam < 0):
+    if lam.shape != (spec.num_groups,) or not np.all(lam >= 0):  # NaN fails too
         raise InputError("lambda must be a nonnegative G-vector")
     if abs(float(lam.sum()) - 1.0) > 1e-9:
         raise InputError("lambda must lie on the simplex")
@@ -186,25 +183,35 @@ def _simplex_grid(G: int, num_lambda: int):
     return [np.array([*c, m - sum(c)]) / m for c in heads]
 
 
-def trace_front(spec: ScenarioSpec, num_lambda: int = 1001):
-    """Scalarization sweep over the simplex, pruned to non-dominated points."""
+def trace_front(spec: ScenarioSpec, num_lambda: int = 1001) -> np.ndarray:
+    """Scalarization sweep over the simplex, pruned to non-dominated points.
+
+    Returns one row per front point: its lambda_0.., then its risks r_0..
+    (2G columns), sorted by r_0, then by r_{G-1}.
+    """
     if num_lambda < 3:
         raise InputError("num_lambda must be at least 3")
-    points = []
-    for lam in _simplex_grid(spec.num_groups, num_lambda):
-        r = exact_group_risks(spec, scalarized_bayes_predictor(spec, lam))
-        points.append(FrontPoint(lam=lam, risks=r, max_gap=max_gap(r)))
-    # dominates(p, p) is False, so p need not be skipped in its own scan
-    keep = [p for p in points if not any(dominates(q.risks, p.risks) for q in points)]
-    keep.sort(key=lambda p: (float(p.risks.risks[0]), float(p.risks.risks[-1])))
-    return keep
+    lams = _simplex_grid(spec.num_groups, num_lambda)
+    risks = [exact_group_risks(spec, scalarized_bayes_predictor(spec, lam)) for lam in lams]
+    # dominates(r, r) is False, so r need not be skipped in its own scan
+    keep = [i for i, r in enumerate(risks) if not any(dominates(q, r) for q in risks)]
+    lams, risks = np.array(lams)[keep], np.array(risks)[keep]
+    return np.hstack([lams, risks])[np.lexsort((risks[:, -1], risks[:, 0]))]
 
 
-def pareto_fair_point(front) -> FrontPoint:
-    """The traced point with minimal gap; ties broken by smaller mean risk."""
-    if not front:
+def _gaps_and_means(front):
+    """``front`` as an array, with the max gap and the mean risk of each row."""
+    front = np.asarray(front, dtype=float)
+    if len(front) == 0:
         raise InputError("empty front")
-    return min(front, key=lambda p: (p.max_gap, float(p.risks.risks.mean())))
+    r = front[:, front.shape[1] // 2 :]
+    return front, r.max(axis=1) - r.min(axis=1), r.mean(axis=1)
+
+
+def pareto_fair_point(front) -> np.ndarray:
+    """The front row (lambda_0.., r_0..) of minimal gap; ties broken by smaller mean risk."""
+    front, gaps, means = _gaps_and_means(front)
+    return front[np.lexsort((means, gaps))[0]]
 
 
 def reference_points(spec: ScenarioSpec, front):
@@ -216,18 +223,14 @@ def reference_points(spec: ScenarioSpec, front):
     naive = exact_group_risks(spec, scalarized_bayes_predictor(spec, spec.priors))
     uniform = np.full(spec.num_groups, 1.0 / spec.num_groups)
     rebalanced = exact_group_risks(spec, scalarized_bayes_predictor(spec, uniform))
-    pf = pareto_fair_point(front)
-    # every group degraded (by mixing toward the uninformative predictor) to
-    # the worst Pareto-fair group risk
-    worst = float(pf.risks.risks.max())
-    eq = RiskVector(
-        risks=np.full(spec.num_groups, worst), counts=np.zeros(spec.num_groups, dtype=int)
-    )
+    pf = pareto_fair_point(front)[spec.num_groups :]
     return {
         "naive": naive,
         "rebalanced": rebalanced,
-        "pareto_fair": pf.risks,
-        "equality_of_risk": eq,
+        "pareto_fair": pf,
+        # every group degraded (by mixing toward the uninformative predictor)
+        # to the worst Pareto-fair group risk
+        "equality_of_risk": np.full(spec.num_groups, pf.max()),
     }
 
 
@@ -277,17 +280,18 @@ def sample_dataset(spec: ScenarioSpec, n: int, seed: int = 0) -> GroupedDataset:
 
 
 def write_front_csv(front, path):
-    """Columns lambda_0.., r_0.., max_gap, mean_risk."""
-    if not front:
-        raise InputError("empty front")
-    G = front[0].lam.shape[0]
+    """Columns lambda_0.., r_0.. (the rows of ``trace_front``), then max_gap, mean_risk."""
+    front, gaps, means = _gaps_and_means(front)
+    G = front.shape[1] // 2
     header = [f"lambda_{a}" for a in range(G)] + [f"r_{a}" for a in range(G)] + ["max_gap", "mean_risk"]
-    rows = ([*p.lam, *p.risks.risks, p.max_gap, p.risks.risks.mean()] for p in front)
-    write_table(path, header, zip(*rows))
+    write_table(path, header, [*front.T, gaps, means])
 
 
 def write_reference_csv(refs: dict, path):
-    G = next(iter(refs.values())).num_groups
+    """One row per named risk vector: name, r_0.., max_gap."""
+    if not refs:
+        raise InputError("no reference points")
+    G = len(next(iter(refs.values())))
     header = ["name"] + [f"r_{a}" for a in range(G)] + ["max_gap"]
-    rows = ([name, *r.risks, max_gap(r)] for name, r in refs.items())
+    rows = ([name, *r, max_gap(r)] for name, r in refs.items())
     write_table(path, header, zip(*rows))

@@ -34,8 +34,8 @@ def compute_metrics(probs, test: GroupedDataset, method: str) -> MethodMetrics:
     ``probs`` holds one row per row of ``test``, as ``MLPClassifier.forward``
     gives them; the caller scores the set once and may reuse the scores.
     """
-    r = group_risks(probs, test.targets, test.groups, "brier")
-    return metrics_from_decisions(np.argmax(probs, axis=1), test, r.risks, method)
+    brier = group_risks(probs, test.targets, test.groups, "brier")
+    return metrics_from_decisions(np.argmax(probs, axis=1), test, brier, method)
 
 
 def metrics_from_decisions(decisions, test: GroupedDataset, brier, method: str) -> MethodMetrics:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 CLAMP = 1e-12
@@ -12,26 +10,6 @@ LOSSES = ("brier", "cross_entropy")
 
 class InputError(ValueError):
     """Raised when an operation receives malformed input."""
-
-
-@dataclass(frozen=True)
-class RiskVector:
-    """Per-group expected losses and the sample counts behind them."""
-
-    risks: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "risks", np.asarray(self.risks, dtype=float))
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=int))
-        if self.risks.ndim != 1 or self.counts.shape != self.risks.shape:
-            raise InputError("risks and counts must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(self.risks)) or np.any(self.risks < 0):
-            raise InputError("risks must be finite and nonnegative")
-
-    @property
-    def num_groups(self) -> int:
-        return self.risks.shape[0]
 
 
 def _check_targets(targets, n: int, C: int) -> np.ndarray:
@@ -51,20 +29,27 @@ def _losses_and_grads(probs: np.ndarray, targets: np.ndarray, loss: str):
     range [0, 2], with gradient 2 (p - y). ``cross_entropy``: -log p_target,
     clamped away from 0 and 1, with gradient -1 / p_target in the target's
     column and 0 where the clamp is active.
+
+    Every training minibatch and every risk estimate passes through here, so
+    this is where non-finite probabilities (a diverged model) raise InputError.
     """
     n = probs.shape[0]
     rows = np.arange(n)
     if loss == "brier":
         diff = probs.copy()
         diff[rows, targets] -= 1.0
-        return np.sum(diff**2, axis=1), 2.0 * diff
-    if loss == "cross_entropy":
+        losses, grads = np.sum(diff**2, axis=1), 2.0 * diff
+    elif loss == "cross_entropy":
         p = probs[rows, targets]
         pc = np.clip(p, CLAMP, 1.0 - CLAMP)
         grads = np.zeros(probs.shape)
         grads[rows, targets] = np.where((p > CLAMP) & (p < 1.0 - CLAMP), -1.0 / pc, 0.0)
-        return -np.log(pc), grads
-    raise InputError(f"unknown loss '{loss}'")
+        losses = -np.log(pc)
+    else:
+        raise InputError(f"unknown loss '{loss}'")
+    if not np.all(np.isfinite(losses)):
+        raise InputError("losses must be finite; the model's outputs are not (has training diverged?)")
+    return losses, grads
 
 
 def sample_losses(probs: np.ndarray, targets: np.ndarray, loss: str = "brier") -> np.ndarray:
@@ -91,8 +76,8 @@ def group_means(values, groups, num_groups: int):
     return means, counts
 
 
-def group_risks(probs: np.ndarray, targets, groups, loss: str = "brier") -> RiskVector:
-    """Mean loss per group; every group id up to max(groups) must be present."""
+def group_risks(probs: np.ndarray, targets, groups, loss: str = "brier") -> np.ndarray:
+    """Mean loss per group, a float array of length G; every group id up to max(groups) must be present."""
     groups = np.asarray(groups, dtype=int)
     losses = sample_losses(probs, targets, loss)
     if groups.shape != losses.shape:
@@ -100,27 +85,28 @@ def group_risks(probs: np.ndarray, targets, groups, loss: str = "brier") -> Risk
     risks, counts = group_means(losses, groups, int(groups.max()) + 1)
     if np.any(counts == 0):
         raise InputError(f"group {int(np.argmin(counts))} has no samples; cannot estimate its risk")
-    return RiskVector(risks=risks, counts=counts)
+    return risks
 
 
-def max_gap(r: RiskVector) -> float:
+def max_gap(r) -> float:
     """Worst pairwise risk difference, max_a R_a - min_a R_a (0 for one group)."""
-    return float(r.risks.max() - r.risks.min())
+    r = np.asarray(r, dtype=float)
+    return float(r.max() - r.min())
 
 
 def dominates(r1, r2) -> bool:
-    """True iff r1 is no worse in every group and strictly better in at least one."""
-    a = r1.risks if isinstance(r1, RiskVector) else np.asarray(r1, dtype=float)
-    b = r2.risks if isinstance(r2, RiskVector) else np.asarray(r2, dtype=float)
+    """True iff risk vector r1 is no worse in every group and strictly better in at least one."""
+    a = np.asarray(r1, dtype=float)
+    b = np.asarray(r2, dtype=float)
     if a.shape != b.shape:
         raise InputError("risk vectors have different lengths")
     return bool(np.all(a <= b) and np.any(a < b))
 
 
-def archive_insert(archive: tuple, r: RiskVector):
+def archive_insert(archive: tuple, r):
     """Insert ``r`` unless an archived risk vector dominates it; drop those it dominates.
 
-    ``archive`` is a tuple of mutually non-dominated RiskVectors. Returns
+    ``archive`` is a tuple of mutually non-dominated risk vectors. Returns
     (accepted, new_archive); the input tuple is never changed.
     """
     if any(dominates(e, r) for e in archive):

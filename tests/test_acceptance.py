@@ -35,7 +35,7 @@ from paretofair.oracle import (
     scalarized_bayes_predictor,
     trace_front,
 )
-from paretofair.risk import RiskVector, archive_insert, group_risks, sample_losses
+from paretofair.risk import archive_insert, group_risks, max_gap, sample_losses
 from conftest import brute_force_nondominated
 
 SEEDS = (0, 1, 2)
@@ -174,31 +174,31 @@ def test_criterion_03_archive_matches_brute_force():
             vectors = rng.uniform(0, 1, size=(100, 3))
             arch = ()
             for v in vectors:
-                _, arch = archive_insert(arch, RiskVector(risks=v, counts=[1, 1, 1]))
-            got = {tuple(e.risks) for e in arch}
+                _, arch = archive_insert(arch, v)
+            got = {tuple(e) for e in arch}
             assert got == brute_force_nondominated(vectors)
 
 
 def test_criterion_04_oracle_internal_consistency(acceptance_spec, front):
     with criterion(4, budget_seconds=120):
-        noise = bayes_noise(acceptance_spec).risks
+        noise = bayes_noise(acceptance_spec)
         assert np.all(np.abs(noise - np.array([0.18, 0.42])) < 1e-9)
 
         # every traced front point survives 1000 random-perturbation probes
         rng = np.random.default_rng(1)
         for point in front:
-            g = scalarized_bayes_predictor(acceptance_spec, point.lam)
+            g = scalarized_bayes_predictor(acceptance_spec, point[:2])
             probes = np.clip(
                 g[None, :] + rng.uniform(-0.2, 0.2, (1000, acceptance_spec.num_points)), 0, 1
             )
             pr = _batch_risks(acceptance_spec, probes)
-            base = point.risks.risks
+            base = point[2:]
             dominated = np.all(pr <= base + 1e-12, axis=1) & np.any(pr < base - 1e-12, axis=1)
             assert not dominated.any()
 
         # exact risks agree with 200k-sample Monte Carlo within 3 sigma
         pf = pareto_fair_point(front)
-        g = scalarized_bayes_predictor(acceptance_spec, pf.lam)
+        g = scalarized_bayes_predictor(acceptance_spec, pf[:2])
         ds = sample_dataset(acceptance_spec, 200_000, seed=2)
         grid = acceptance_spec.grid
         h = grid[1] - grid[0]
@@ -209,33 +209,34 @@ def test_criterion_04_oracle_internal_consistency(acceptance_spec, front):
             mask = ds.groups == a
             emp = float(losses[mask].mean())
             sigma = float(losses[mask].std(ddof=1)) / np.sqrt(mask.sum())
-            assert abs(emp - pf.risks.risks[a]) < 3 * sigma
+            assert abs(emp - pf[2 + a]) < 3 * sigma
 
 
 def test_criterion_05_perfect_fairness_unattainable(front):
     with criterion(5, budget_seconds=60):
-        min_gap = min(p.max_gap for p in front)
-        max_r0 = max(float(p.risks.risks[0]) for p in front)
+        r = front[:, 2:]
+        min_gap = (r.max(axis=1) - r.min(axis=1)).min()
+        max_r0 = r[:, 0].max()
         assert min_gap >= 0.42 - max_r0 - 1e-9
         assert min_gap > 0
-        assert pareto_fair_point(front).max_gap > 0.1
+        assert max_gap(pareto_fair_point(front)[2:]) > 0.1
 
 
 def test_criterion_06_symmetric_zero_gap(symmetric_spec):
     with criterion(6):
         refs = reference_points(symmetric_spec, trace_front(symmetric_spec, 1001))
-        pf = refs["pareto_fair"].risks
+        pf = refs["pareto_fair"]
         assert pf.max() - pf.min() <= 1e-6
-        assert np.all(np.abs(pf - refs["naive"].risks) <= 1e-6)
-        assert np.all(np.abs(pf - refs["rebalanced"].risks) <= 1e-6)
+        assert np.all(np.abs(pf - refs["naive"]) <= 1e-6)
+        assert np.all(np.abs(pf - refs["rebalanced"]) <= 1e-6)
 
 
 def test_criterion_07_end_to_end_convergence(acceptance_spec, front, trained_runs):
     with criterion(7, budget_seconds=600 * len(SEEDS)):
-        target = pareto_fair_point(front).risks.risks
+        target = pareto_fair_point(front)[2:]
         for seed in SEEDS:
             run = trained_runs[seed]
-            r_test = evaluate_risk(run["pf"], run["test"]).risks
+            r_test = evaluate_risk(run["pf"], run["test"])
             assert np.all(np.abs(r_test - target) < 0.03), f"seed {seed}: {r_test} vs {target}"
 
 
@@ -245,7 +246,7 @@ def test_criterion_08_baseline_ordering(trained_runs):
             run = trained_runs[seed]
             disc = {}
             for name in ("pf", "rebalanced", "naive"):
-                r = evaluate_risk(run[name], run["test"]).risks
+                r = evaluate_risk(run[name], run["test"])
                 disc[name] = float(r.max() - r.min())
             assert disc["pf"] + 0.01 <= disc["rebalanced"], f"seed {seed}: {disc}"
             assert disc["rebalanced"] + 0.01 <= disc["naive"], f"seed {seed}: {disc}"
@@ -264,7 +265,7 @@ def test_criterion_09_trace_invariants(trained_runs):
             for row in accepted:
                 assert row.c < row.risks.min()
             # rejected steps are undone bit for bit: the returned model is the last accepted one
-            assert np.array_equal(evaluate_risk(run["pf"], run["val"]).risks, accepted[-1].risks)
+            assert np.array_equal(evaluate_risk(run["pf"], run["val"]), accepted[-1].risks)
 
 
 def test_criterion_10_postprocessing_equalizes(trained_runs):

@@ -19,7 +19,7 @@ from paretofair.risk import InputError, group_risks
 
 
 def _risks(model, ds):
-    return group_risks(model.forward(ds.features), ds.targets, ds.groups).risks
+    return group_risks(model.forward(ds.features), ds.targets, ds.groups)
 
 
 @pytest.fixture(scope="module")

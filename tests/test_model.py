@@ -15,7 +15,7 @@ from paretofair.model import (
     sgd_early_stop,
     weighted_grad,
 )
-from paretofair.risk import CLAMP, InputError, RiskVector, group_means, group_risks, sample_losses
+from paretofair.risk import CLAMP, InputError, group_means, group_risks, sample_losses
 
 
 def finite_diff_grads(model, X, y, w, loss, step=1e-5):
@@ -285,12 +285,12 @@ def separable_dataset(n=40, seed=0):
     return GroupedDataset(features=X, targets=y, groups=groups)
 
 
-def uniform_rule(r: RiskVector):
-    return np.ones(r.num_groups)
+def uniform_rule(r):
+    return np.ones(len(r))
 
 
-def mean_objective(r: RiskVector):
-    return float(r.risks.mean())
+def mean_objective(r):
+    return float(r.mean())
 
 
 class TestTrainConfig:
@@ -328,7 +328,7 @@ class TestSgdEarlyStop:
         from paretofair.risk import group_risks
 
         r = group_risks(model.forward(val.features), val.targets, val.groups)
-        assert np.all(r.risks < 0.05)
+        assert np.all(r < 0.05)
 
     def test_patience_zero_runs_one_epoch(self):
         train = separable_dataset(20, seed=1)
@@ -392,6 +392,28 @@ class TestSgdEarlyStop:
         final = mean_objective(group_risks(model.forward(val.features), val.targets, val.groups))
         assert final == pytest.approx(best)
 
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_nan_weight_raises_on_first_minibatch(self, stratified, monkeypatch):
+        train = separable_dataset(40, seed=1)
+        val = separable_dataset(40, seed=2)
+        model = MLPClassifier([1, 3, 2], seed=0)
+        model.weights[0][0, 0] = np.nan
+        steps = []
+        real_grad = model_module.weighted_grad
+
+        def counting_grad(*args):
+            steps.append(len(args[1]))
+            return real_grad(*args)
+
+        def objective(r):
+            raise AssertionError("an epoch finished on a diverged model")
+
+        monkeypatch.setattr(model_module, "weighted_grad", counting_grad)
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=3, patience=3, seed=0)
+        with pytest.raises(InputError, match="finite"):
+            sgd_early_stop(model, train, val, objective, uniform_rule, cfg, stratified=stratified)
+        assert steps == [8]
+
 
 def grouped_dataset(n, G, seed):
     """n rows in G groups of unequal size, two classes with group-dependent overlap."""
@@ -414,8 +436,8 @@ def reference_stratified_sgd(model, train, val, objective, weight_rule, cfg, los
         for _ in range(-(-train.n // cfg.batch_size)):
             idx = np.concatenate([g[rng.integers(0, len(g), size=per)] for g in group_indices])
             X, y, a = train.features[idx], train.targets[idx], train.groups[idx]
-            r_hat, counts = group_means(sample_losses(model.forward(X), y, loss), a, G)
-            w = np.asarray(weight_rule(RiskVector(risks=r_hat, counts=counts)))[a]
+            r_hat, _counts = group_means(sample_losses(model.forward(X), y, loss), a, G)
+            w = np.asarray(weight_rule(r_hat))[a]
             gW, gb = weighted_grad(model, X, y, w, loss)
             for W, g in zip(model.weights, gW):
                 W -= cfg.lr * g
@@ -439,7 +461,7 @@ class TestStratifiedSgd:
         c = 0.05
 
         def objective(r):
-            return float(r.risks.mean())
+            return float(r.mean())
 
         def weight_rule(r):
             return group_weights(r, mu, c)

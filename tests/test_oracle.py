@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from paretofair import oracle
+from paretofair.data import split_dataset
 from paretofair.oracle import (
-    FrontPoint,
     ScenarioParams,
     ScenarioSpec,
     bayes_noise,
@@ -19,9 +19,10 @@ from paretofair.oracle import (
     scalarized_bayes_predictor,
     trace_front,
     write_front_csv,
+    write_reference_csv,
     _simplex_grid,
 )
-from paretofair.risk import InputError, RiskVector, dominates, group_risks
+from paretofair.risk import InputError, dominates, group_risks, max_gap
 from conftest import THREE_GROUP_PARAMS, brute_force_nondominated
 
 
@@ -43,7 +44,7 @@ class TestConstructor:
         assert np.array_equal(symmetric_spec.eta[0], symmetric_spec.eta[1])
 
     def test_noisier_levels_give_larger_bayes_noise(self, acceptance_spec):
-        noise = bayes_noise(acceptance_spec).risks
+        noise = bayes_noise(acceptance_spec)
         assert noise[1] > noise[0]
 
     def test_invalid_levels_rejected(self):
@@ -96,6 +97,55 @@ class TestScenarioFile:
             load_scenario(path)
 
 
+def _with_nan(values, index=0):
+    values = np.array(values, dtype=float)
+    values.flat[index] = np.nan
+    return values
+
+
+def _nan_scenario_file(tmp_path):
+    path = tmp_path / "scenario.txt"
+    path.write_text("priors = nan,0.5\n")
+    return make_scenario(load_scenario(path))
+
+
+# Each case hands NaN (or a zero width, which makes a NaN density) to one range
+# check, and names the check that must catch it; comparisons with NaN are False,
+# so only checks written to fail on it catch it.
+NAN_CASES = {
+    "spec grid": (lambda s, _: replace(s, grid=_with_nan(s.grid)), "must be finite"),
+    "spec priors": (lambda s, _: replace(s, priors=_with_nan(s.priors)), "must be finite"),
+    "spec density": (lambda s, _: replace(s, density=_with_nan(s.density, 5)), "must be finite"),
+    "spec eta": (lambda s, _: replace(s, eta=_with_nan(s.eta, 5)), "must be finite"),
+    "scenario file priors": (lambda s, tmp_path: _nan_scenario_file(tmp_path), "must be finite"),
+    "zero density width": (
+        lambda s, _: make_scenario(ScenarioParams(density_widths=(0.0, 0.15))), "density_widths"
+    ),
+    "nan density width": (
+        lambda s, _: make_scenario(ScenarioParams(density_widths=(np.nan, 0.15))), "density_widths"
+    ),
+    "nan density center": (
+        lambda s, _: make_scenario(ScenarioParams(density_centers=(0.4, np.nan))), "density_centers"
+    ),
+    "nan grid_min": (lambda s, _: make_scenario(ScenarioParams(grid_min=np.nan)), "grid bounds"),
+    "infinite grid_max": (lambda s, _: make_scenario(ScenarioParams(grid_max=np.inf)), "grid bounds"),
+    "lambda": (lambda s, _: scalarized_bayes_predictor(s, [np.nan, 0.5]), "lambda"),
+    "predictor table": (
+        lambda s, _: exact_group_risks(s, _with_nan(np.full(s.num_points, 0.5), 7)), "predictor values"
+    ),
+    "split fractions": (
+        lambda s, _: split_dataset(sample_dataset(s, 200), (np.nan, 0.5, 0.5)), "split fractions"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NAN_CASES))
+def test_nan_fails_the_range_checks(acceptance_spec, tmp_path, case):
+    build, message = NAN_CASES[case]
+    with pytest.raises(InputError, match=message):
+        build(acceptance_spec, tmp_path)
+
+
 class TestSampling:
     def test_determinism(self, acceptance_spec):
         a = sample_dataset(acceptance_spec, 1000, seed=42)
@@ -124,34 +174,34 @@ class TestSampling:
 class TestExactRisks:
     def test_bayes_predictor_attains_noise(self, acceptance_spec):
         for a in range(2):
-            r = exact_group_risks(acceptance_spec, acceptance_spec.eta[a]).risks[a]
-            assert r == pytest.approx(bayes_noise(acceptance_spec).risks[a], abs=1e-12)
+            r = exact_group_risks(acceptance_spec, acceptance_spec.eta[a])[a]
+            assert r == pytest.approx(bayes_noise(acceptance_spec)[a], abs=1e-12)
 
     def test_constant_eta_example(self):
         spec = single_group_spec(0.1)
-        r = exact_group_risks(spec, np.full(spec.num_points, 0.1)).risks[0]
+        r = exact_group_risks(spec, np.full(spec.num_points, 0.1))[0]
         assert r == pytest.approx(0.18)
 
     def test_matches_monte_carlo(self, acceptance_spec):
         rng = np.random.default_rng(4)
         g = rng.uniform(0, 1, acceptance_spec.num_points)
-        exact = exact_group_risks(acceptance_spec, g).risks
+        exact = exact_group_risks(acceptance_spec, g)
         ds = sample_dataset(acceptance_spec, 200_000, seed=5)
         grid = acceptance_spec.grid
         h = grid[1] - grid[0]
         bins = np.clip(np.round((ds.features[:, 0] - grid[0]) / h).astype(int), 0, len(grid) - 1)
         probs = np.c_[1 - g[bins], g[bins]]
-        emp = group_risks(probs, ds.targets, ds.groups).risks
+        emp = group_risks(probs, ds.targets, ds.groups)
         assert np.all(np.abs(emp - exact) < 0.01)
 
 
 class TestBayesNoise:
     def test_half(self):
-        assert bayes_noise(single_group_spec(0.5)).risks[0] == pytest.approx(0.5)
+        assert bayes_noise(single_group_spec(0.5))[0] == pytest.approx(0.5)
 
     def test_noiseless(self):
-        assert bayes_noise(single_group_spec(0.0)).risks[0] == pytest.approx(0.0)
-        assert bayes_noise(single_group_spec(1.0)).risks[0] == pytest.approx(0.0)
+        assert bayes_noise(single_group_spec(0.0))[0] == pytest.approx(0.0)
+        assert bayes_noise(single_group_spec(1.0))[0] == pytest.approx(0.0)
 
     def test_level_pair_03_07(self):
         # 2 * 0.3 * 0.7 at every grid point, independent of the transition
@@ -161,7 +211,7 @@ class TestBayesNoise:
                               density_centers=(0.5,), density_widths=(0.2,),
                               transition_center=tc)
             )
-            assert bayes_noise(spec).risks[0] == pytest.approx(0.42, abs=1e-12)
+            assert bayes_noise(spec)[0] == pytest.approx(0.42, abs=1e-12)
 
 
 class TestScalarization:
@@ -188,12 +238,12 @@ class TestScalarization:
         rng = np.random.default_rng(7)
         lam = np.array([0.25, 0.75])
         g = scalarized_bayes_predictor(acceptance_spec, lam)
-        base = float(lam @ exact_group_risks(acceptance_spec, g).risks)
+        base = float(lam @ exact_group_risks(acceptance_spec, g))
         for _ in range(50):
             i = int(rng.integers(0, acceptance_spec.num_points))
             pert = g.copy()
             pert[i] = np.clip(pert[i] + rng.choice([-0.05, 0.05]), 0, 1)
-            val = float(lam @ exact_group_risks(acceptance_spec, pert).risks)
+            val = float(lam @ exact_group_risks(acceptance_spec, pert))
             assert val >= base - 1e-12
 
 
@@ -201,7 +251,7 @@ class TestFront:
     def test_single_group_front_is_noise_point(self):
         spec = single_group_spec(0.2)
         front = trace_front(spec, 11)
-        risks = {round(float(p.risks.risks[0]), 12) for p in front}
+        risks = {round(float(p[1]), 12) for p in front}
         assert len(risks) == 1
         assert risks.pop() == pytest.approx(2 * 0.2 * 0.8)
 
@@ -222,9 +272,9 @@ class TestFront:
         )
         for t in np.linspace(0, 1, 21):
             lam = np.array([t, 1 - t])
-            r = exact_group_risks(spec, scalarized_bayes_predictor(spec, lam)).risks
+            r = exact_group_risks(spec, scalarized_bayes_predictor(spec, lam))
             lam_sw = lam[::-1]
-            r_sw = exact_group_risks(mirrored, scalarized_bayes_predictor(mirrored, lam_sw)).risks
+            r_sw = exact_group_risks(mirrored, scalarized_bayes_predictor(mirrored, lam_sw))
             assert np.allclose(r, r_sw[::-1], atol=1e-9)
 
     def test_front_mutually_nondominated(self, acceptance_spec):
@@ -232,13 +282,14 @@ class TestFront:
         for i, p in enumerate(front):
             for j, q in enumerate(front):
                 if i != j:
-                    assert not dominates(p.risks, q.risks)
+                    assert not dominates(p[2:], q[2:])
 
     def test_asymmetric_gap_strictly_positive(self, acceptance_spec):
         front = trace_front(acceptance_spec, 201)
-        noise = bayes_noise(acceptance_spec).risks
-        min_gap = min(p.max_gap for p in front)
-        max_r0 = max(float(p.risks.risks[0]) for p in front)
+        noise = bayes_noise(acceptance_spec)
+        r = front[:, 2:]
+        min_gap = (r.max(axis=1) - r.min(axis=1)).min()
+        max_r0 = r[:, 0].max()
         assert min_gap >= noise[1] - max_r0 - 1e-9
         assert min_gap > 0
 
@@ -248,12 +299,12 @@ class TestFront:
         m = 10  # the lattice step: round(101 ** (1 / (G - 1)))
         lattice = [np.array([i, j, m - i - j]) / m for i in range(m + 1) for j in range(m + 1 - i)]
         assert len(lattice) == 66
-        risks = [exact_group_risks(spec, scalarized_bayes_predictor(spec, lam)).risks for lam in lattice]
-        assert {tuple(p.risks.risks) for p in front} == brute_force_nondominated(risks)
-        keys = [(p.risks.risks[0], p.risks.risks[-1]) for p in front]
+        risks = [exact_group_risks(spec, scalarized_bayes_predictor(spec, lam)) for lam in lattice]
+        assert {tuple(p[3:]) for p in front} == brute_force_nondominated(risks)
+        keys = [(p[3], p[-1]) for p in front]
         assert keys == sorted(keys)
-        for p in front:
-            assert p.max_gap == p.risks.risks.max() - p.risks.risks.min()
+        for p in front:  # each row's risks are those of its own lambda
+            assert np.array_equal(p[3:], exact_group_risks(spec, scalarized_bayes_predictor(spec, p[:3])))
 
     def test_num_lambda_validated(self, acceptance_spec):
         with pytest.raises(InputError):
@@ -263,33 +314,42 @@ class TestFront:
 class TestParetoFairPoint:
     def test_symmetric_zero_gap(self, symmetric_spec):
         pf = pareto_fair_point(trace_front(symmetric_spec, 101))
-        assert pf.max_gap <= 1e-6
+        assert max_gap(pf[2:]) <= 1e-6
 
     def test_single_point_front(self):
         spec = single_group_spec(0.2)
         front = trace_front(spec, 11)
         pf = pareto_fair_point(front)
-        assert pf.risks.risks[0] == pytest.approx(2 * 0.2 * 0.8)
+        assert pf[1] == pytest.approx(2 * 0.2 * 0.8)
 
     def test_empty_front_rejected(self):
         with pytest.raises(InputError):
             pareto_fair_point([])
 
+    def test_smallest_gap_first_then_smallest_mean_risk(self):
+        # binary fractions, so the two smallest gaps tie exactly
+        front = np.array([
+            [1.0, 0.0, 0.0625, 0.125],  # gap 0.0625, the smallest mean risk
+            [0.5, 0.5, 0.5, 0.53125],  # gap 0.03125
+            [0.0, 1.0, 0.25, 0.28125],  # gap 0.03125, smaller mean risk
+        ])
+        assert np.array_equal(pareto_fair_point(front), front[2])
+
 
 class TestReferencePoints:
     def test_symmetric_all_coincide(self, symmetric_spec):
         refs = reference_points(symmetric_spec, trace_front(symmetric_spec, 101))
-        assert np.allclose(refs["naive"].risks, refs["rebalanced"].risks, atol=1e-9)
-        assert np.allclose(refs["naive"].risks, refs["pareto_fair"].risks, atol=1e-9)
+        assert np.allclose(refs["naive"], refs["rebalanced"], atol=1e-9)
+        assert np.allclose(refs["naive"], refs["pareto_fair"], atol=1e-9)
 
     def test_naive_harms_minority(self, acceptance_spec, front):
         refs = reference_points(acceptance_spec, front)
-        assert refs["naive"].risks[1] > refs["rebalanced"].risks[1]
+        assert refs["naive"][1] > refs["rebalanced"][1]
 
     def test_equality_of_risk_properties(self, acceptance_spec, front):
         refs = reference_points(acceptance_spec, front)
-        eq = refs["equality_of_risk"].risks
-        pf = refs["pareto_fair"].risks
+        eq = refs["equality_of_risk"]
+        pf = refs["pareto_fair"]
         assert eq.max() - eq.min() == pytest.approx(0.0)
         assert np.all(pf <= eq + 1e-12)  # weak dominance
 
@@ -298,16 +358,12 @@ class TestReferencePoints:
             raise AssertionError("reference_points traced a front")
 
         monkeypatch.setattr(oracle, "trace_front", no_trace)
-        hand_built = [
-            FrontPoint(lam=np.array([1.0, 0.0]), risks=RiskVector([0.1, 0.5], [0, 0]), max_gap=0.4),
-            FrontPoint(lam=np.array([0.5, 0.5]), risks=RiskVector([0.2, 0.3], [0, 0]), max_gap=0.1),
-            FrontPoint(lam=np.array([0.0, 1.0]), risks=RiskVector([0.4, 0.2], [0, 0]), max_gap=0.2),
-        ]
+        hand_built = np.array([[1.0, 0.0, 0.1, 0.5], [0.5, 0.5, 0.2, 0.3], [0.0, 1.0, 0.4, 0.2]])
         refs = reference_points(acceptance_spec, hand_built)
-        assert np.array_equal(refs["pareto_fair"].risks, [0.2, 0.3])
-        assert np.array_equal(refs["equality_of_risk"].risks, [0.3, 0.3])
+        assert np.array_equal(refs["pareto_fair"], [0.2, 0.3])
+        assert np.array_equal(refs["equality_of_risk"], [0.3, 0.3])
         naive = scalarized_bayes_predictor(acceptance_spec, acceptance_spec.priors)
-        assert np.array_equal(refs["naive"].risks, exact_group_risks(acceptance_spec, naive).risks)
+        assert np.array_equal(refs["naive"], exact_group_risks(acceptance_spec, naive))
 
 
 def recursive_simplex_grid(G, num_lambda):
@@ -346,8 +402,8 @@ class TestGridRefinement:
         fine = make_scenario(ScenarioParams(grid_points=801))
         for t in np.linspace(0.05, 0.95, 7):
             lam = np.array([t, 1 - t])
-            rc = exact_group_risks(coarse, scalarized_bayes_predictor(coarse, lam)).risks
-            rf = exact_group_risks(fine, scalarized_bayes_predictor(fine, lam)).risks
+            rc = exact_group_risks(coarse, scalarized_bayes_predictor(coarse, lam))
+            rf = exact_group_risks(fine, scalarized_bayes_predictor(fine, lam))
             assert np.all(np.abs(rc - rf) < 1e-3)
 
 
@@ -358,3 +414,11 @@ class TestFrontCsv:
         write_front_csv(front, path)
         header = path.read_text().splitlines()[0]
         assert header == "lambda_0,lambda_1,r_0,r_1,max_gap,mean_risk"
+
+    def test_empty_front_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="empty front"):
+            write_front_csv(np.empty((0, 4)), tmp_path / "front.csv")
+
+    def test_no_reference_points_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="no reference points"):
+            write_reference_csv({}, tmp_path / "reference_points.csv")

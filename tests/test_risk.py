@@ -7,7 +7,6 @@ from paretofair.risk import (
     CLAMP,
     LOSSES,
     InputError,
-    RiskVector,
     archive_insert,
     dominates,
     group_means,
@@ -121,8 +120,7 @@ class TestGroupRisks:
     def test_two_perfect_singletons(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
         r = group_risks(probs, [0, 1], [0, 1])
-        assert np.allclose(r.risks, [0.0, 0.0])
-        assert list(r.counts) == [1, 1]
+        assert np.allclose(r, [0.0, 0.0])
 
     def test_arithmetic_means(self):
         # group 0 losses {0.2, 0.4}; group 1 loss {0.1} via cooked-up probs
@@ -130,7 +128,7 @@ class TestGroupRisks:
         p = lambda l: 1.0 - np.sqrt(l / 2.0)
         probs = np.array([[p(0.2), 1 - p(0.2)], [p(0.4), 1 - p(0.4)], [p(0.1), 1 - p(0.1)]])
         r = group_risks(probs, [0, 0, 0], [0, 0, 1])
-        assert np.allclose(r.risks, [0.3, 0.1])
+        assert np.allclose(r, [0.3, 0.1])
 
     def test_matches_independent_scan(self):
         rng = np.random.default_rng(7)
@@ -148,15 +146,13 @@ class TestGroupRisks:
                 if groups[i] == a:
                     acc += losses[i]
                     cnt += 1
-            assert r.risks[a] == pytest.approx(acc / cnt, rel=1e-12)
-            assert r.counts[a] == cnt
+            assert r[a] == pytest.approx(acc / cnt, rel=1e-12)
 
     def test_three_groups_by_hand(self):
         # brier for binary (p, 1-p) is 2(1-p)^2 against target 0 and 2p^2 against target 1
         probs = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.75, 0.25], [0.5, 0.5]])
         r = group_risks(probs, [0, 0, 0, 1, 1], [0, 1, 1, 2, 2])
-        assert np.allclose(r.risks, [0.0, 1.25, 0.8125])
-        assert list(r.counts) == [1, 2, 2]
+        assert np.allclose(r, [0.0, 1.25, 0.8125])
 
     def test_missing_group_is_error(self):
         probs = np.array([[0.5, 0.5]])
@@ -166,21 +162,17 @@ class TestGroupRisks:
 
 class TestDiscriminationGap:
     def test_equal_risks(self):
-        r = RiskVector(risks=[0.4, 0.4], counts=[1, 1])
-        assert max_gap(r) == 0.0
+        assert max_gap([0.4, 0.4]) == 0.0
 
     def test_three_groups(self):
-        r = RiskVector(risks=[0.2, 0.5, 0.3], counts=[1, 1, 1])
-        assert max_gap(r) == pytest.approx(0.3)
+        assert max_gap([0.2, 0.5, 0.3]) == pytest.approx(0.3)
 
     def test_single_group(self):
-        r = RiskVector(risks=[0.7], counts=[1])
-        assert max_gap(r) == 0.0
+        assert max_gap([0.7]) == 0.0
 
     @given(st.lists(st.floats(0, 2), min_size=1, max_size=6))
     def test_max_gap_is_range(self, risks):
-        r = RiskVector(risks=risks, counts=[1] * len(risks))
-        assert max_gap(r) == pytest.approx(max(risks) - min(risks))
+        assert max_gap(risks) == pytest.approx(max(risks) - min(risks))
 
 
 class TestDominates:
@@ -208,22 +200,19 @@ class TestDominates:
 
 
 class TestArchive:
-    def _rv(self, risks):
-        return RiskVector(risks=risks, counts=[1] * len(risks))
-
     def test_insert_into_empty(self):
-        ok, arch = archive_insert((), self._rv([0.2, 0.2]))
+        ok, arch = archive_insert((), np.array([0.2, 0.2]))
         assert ok and len(arch) == 1
 
     def test_dominated_insert_rejected(self):
-        _, arch = archive_insert((), self._rv([0.2, 0.2]))
-        ok, arch2 = archive_insert(arch, self._rv([0.3, 0.3]))
+        _, arch = archive_insert((), np.array([0.2, 0.2]))
+        ok, arch2 = archive_insert(arch, np.array([0.3, 0.3]))
         assert not ok
         assert arch2 is arch
 
     def test_accepting_prunes_dominated_entries(self):
-        _, arch = archive_insert((), self._rv([0.3, 0.3]))
-        ok, arch = archive_insert(arch, self._rv([0.2, 0.2]))
+        _, arch = archive_insert((), np.array([0.3, 0.3]))
+        ok, arch = archive_insert(arch, np.array([0.2, 0.2]))
         assert ok and len(arch) == 1
 
     @pytest.mark.parametrize("seed", range(5))
@@ -232,8 +221,8 @@ class TestArchive:
         vectors = rng.uniform(0, 1, size=(100, 3))
         arch = ()
         for v in vectors:
-            _, arch = archive_insert(arch, self._rv(v))
-        got = {tuple(e.risks) for e in arch}
+            _, arch = archive_insert(arch, v)
+        got = {tuple(e) for e in arch}
         assert got == brute_force_nondominated(vectors)
 
     def test_order_independence(self):
@@ -244,8 +233,8 @@ class TestArchive:
             order = np.random.default_rng(perm_seed).permutation(len(vectors))
             arch = ()
             for i in order:
-                _, arch = archive_insert(arch, self._rv(vectors[i]))
-            results.append({tuple(e.risks) for e in arch})
+                _, arch = archive_insert(arch, vectors[i])
+            results.append({tuple(e) for e in arch})
         assert results[0] == results[1] == results[2]
 
 
