@@ -22,21 +22,26 @@ from paretofair.risk import InputError, archive_insert, group_risks, max_gap
 _EPS = 1e-12
 
 
-def _penalty_terms(r, mu, c: float):
-    """(risks, mu, (risks - c)^+) of the adaptive loss, with mu checked against the risks."""
-    risks = np.asarray(r, dtype=float)
+def _check_mu(mu, shape) -> np.ndarray:
+    """``mu`` as a float array of the risks' ``shape`` with nonnegative entries, or InputError."""
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != risks.shape:
+    if mu.shape != shape:
         raise InputError("mu length does not match number of groups")
     if np.any(mu < 0):
         raise InputError("mu entries must be nonnegative")
-    return risks, mu, np.maximum(risks - c, 0.0)
+    return mu
 
 
 def adaptive_loss(r, mu, c: float) -> float:
     """sum_a [ r_a + mu_a * ((r_a - c)^+)^2 ]."""
-    risks, mu, excess = _penalty_terms(r, mu, c)
-    return float(np.sum(risks + mu * excess**2))
+    risks = np.asarray(r, dtype=float)
+    mu = _check_mu(mu, risks.shape)
+    return float(np.sum(risks + mu * np.maximum(risks - c, 0.0) ** 2))
+
+
+def _weights(risks: np.ndarray, two_mu: np.ndarray, c: float) -> np.ndarray:
+    """1 + 2 mu (r - c)^+ for float ``risks`` and a checked ``two_mu`` = 2.0 * mu."""
+    return 1.0 + two_mu * np.maximum(risks - c, 0.0)
 
 
 def group_weights(r_hat, mu, c: float) -> np.ndarray:
@@ -45,8 +50,8 @@ def group_weights(r_hat, mu, c: float) -> np.ndarray:
     This is the derivative of ``adaptive_loss`` in each risk component, so
     weighting per-sample gradients by it optimizes the adaptive loss.
     """
-    _risks, mu, excess = _penalty_terms(r_hat, mu, c)
-    return 1.0 + 2.0 * mu * excess
+    risks = np.asarray(r_hat, dtype=float)
+    return _weights(risks, 2.0 * _check_mu(mu, risks.shape), c)
 
 
 @dataclass
@@ -152,13 +157,15 @@ def pareto_fair_optimize(
     inner = {f.name: getattr(hp, f.name) for f in fields(TrainConfig)}
 
     def solve(start, mu, c, lr, seed):
+        # group_weights with mu checked once per fit, not once per minibatch
+        two_mu = 2.0 * _check_mu(mu, (train.num_groups,))
         model.set_params(start)
         sgd_early_stop(
             model,
             train,
             val,
             objective=lambda r: adaptive_loss(r, mu, c),
-            weight_rule=lambda r: group_weights(r, mu, c),
+            weight_rule=lambda r: _weights(r, two_mu, c),
             config=TrainConfig(**{**inner, "lr": lr, "seed": seed}),
             loss=loss,
         )

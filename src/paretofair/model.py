@@ -6,9 +6,11 @@ float64 numpy, single threaded and deterministic per seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -99,25 +101,31 @@ class MLPClassifier:
 
         Each layer computes ``h @ W``, adds ``b`` in place and, if hidden,
         applies the activation in place, so at most two hidden activations
-        are alive at once. If ``hs`` is a list, each layer's input (``X``,
-        then each hidden activation) is appended to it: those are all the
-        backward pass needs.
+        are alive at once; the softmax runs in place on the logits. A layer
+        with one input column computes the outer product ``h * W``, which
+        skips the BLAS call: each entry is one product either way, and only a
+        product of -0.0, which BLAS sums onto +0.0, differs. Adding ``b``
+        maps both zeros to the same bits (for a -0.0 bias, the next layer's
+        sum and the softmax do). If ``hs`` is a list, each layer's input
+        (``X``, then each hidden activation) is appended to it: those are all
+        the backward pass needs.
         """
         h = X
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             if hs is not None:
                 hs.append(h)
-            h = h @ W
+            h = h * W if W.shape[0] == 1 else h @ W
             h += b
             if i < last:
                 if self.activation == "relu":
                     np.maximum(h, 0.0, out=h)
                 else:
                     np.tanh(h, out=h)
-        shifted = h - h.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        h -= h.max(axis=1, keepdims=True)
+        np.exp(h, out=h)
+        h /= h.sum(axis=1, keepdims=True)
+        return h
 
     def _check_input(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -158,13 +166,15 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
     w = np.asarray(sample_weights, dtype=float)
     if w.shape != (n,):
         raise InputError(f"sample weights have shape {w.shape}, expected one per row ({n},)")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise InputError("sample weights must be finite and nonnegative")
-    wsum = float(w.sum())
+    with np.errstate(over="ignore"):  # finite weights whose sum overflows raise below
+        wsum = float(w.sum())
+    # NaN fails the first test; -inf the first, +inf the second
+    if not (w.min() >= 0 and math.isfinite(wsum)):
+        raise InputError("sample weights must be finite and nonnegative, with a finite sum")
     if wsum <= 0:
         raise InputError("sample weights must not all be zero")
     # softmax Jacobian: dl/dz_k = p_k (g_k - sum_j g_j p_j)
-    inner = np.sum(dl_dp * probs, axis=1, keepdims=True)
+    inner = (dl_dp * probs).sum(axis=1, keepdims=True)
     delta = probs * (dl_dp - inner)
     delta *= (w / wsum)[:, None]
     grad_W = [None] * len(model.weights)
@@ -173,7 +183,8 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
         grad_W[i] = hs[i].T @ delta
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * model._act_grad(hs[i])
+            delta = delta @ model.weights[i].T
+            delta *= model._act_grad(hs[i])
     return grad_W, grad_b
 
 
@@ -181,6 +192,16 @@ def _rule_weights(weight_rule, groups, G: int, losses) -> np.ndarray:
     """Per-sample weights of one minibatch: its group risks mapped through ``weight_rule``."""
     w_groups = np.asarray(weight_rule(group_means(losses, groups, G)[0]), dtype=float)
     return w_groups[groups]
+
+
+def _block_weights(weight_rule, G: int, per: int, losses) -> np.ndarray:
+    """``_rule_weights`` of a stratified batch: ``per`` rows of group 0, then of group 1, ...
+
+    Each group's rows are one contiguous block, so a row of the reshaped
+    losses is that group's mask, and its mean has the same bits.
+    """
+    w_groups = np.asarray(weight_rule(losses.reshape(G, per).mean(axis=1)), dtype=float)
+    return np.repeat(w_groups, per)
 
 
 def sgd_early_stop(
@@ -204,6 +225,8 @@ def sgd_early_stop(
     losses), so a step runs one forward and one backward pass. ``stratified``
     batches take ceil(batch_size / G) rows of each group, drawn with
     replacement; otherwise each epoch walks one permutation of the rows.
+    Either way the epoch's rows are gathered once and each step takes a
+    slice of them.
     After each epoch the ``objective`` is evaluated on the validation group
     risks, the float array of length G that ``group_risks`` gives; the best
     parameters seen are restored at the end. Training stops once
@@ -217,17 +240,19 @@ def sgd_early_stop(
     rng = np.random.default_rng(config.seed)
     G = train.num_groups
     n = train.n
-    n_batches = -(-n // config.batch_size)
+    lr, bs = config.lr, config.batch_size
+    n_batches = -(-n // bs)
     if stratified:
         # A stratified batch holds ``per`` rows of group 0, then of group 1, and
         # so on, indexing the training rows sorted by group. One draw per epoch
         # bounds each row by its group's size, so the draws, and the generator
         # state after them, equal those of one rng.integers call per group per
         # batch.
-        per = -(-config.batch_size // G)
+        per = -(-bs // G)
         pool = np.argsort(train.groups, kind="stable")
         sizes = np.bincount(train.groups, minlength=G)
         starts = np.cumsum(sizes) - sizes
+        block_rule = partial(_block_weights, weight_rule, G, per)
 
     best_obj = np.inf
     best_params = model.get_params()
@@ -238,17 +263,20 @@ def sgd_early_stop(
         if stratified:
             draws = rng.integers(0, sizes[:, None], size=(n_batches, G, per)) + starts[:, None]
             batches = pool[draws].reshape(n_batches, G * per)
+            steps = zip(train.features[batches], train.targets[batches], repeat(block_rule))
         else:
             order = rng.permutation(n)
-            batches = [order[j : j + config.batch_size] for j in range(0, n, config.batch_size)]
-        for idx in batches:
-            a = train.groups[idx]
-            sw = partial(_rule_weights, weight_rule, a, G)
-            gW, gb = weighted_grad(model, train.features[idx], train.targets[idx], sw, loss)
+            X, y, a = train.features[order], train.targets[order], train.groups[order]
+            steps = (
+                (X[j : j + bs], y[j : j + bs], partial(_rule_weights, weight_rule, a[j : j + bs], G))
+                for j in range(0, n, bs)
+            )
+        for X_step, y_step, sw in steps:
+            gW, gb = weighted_grad(model, X_step, y_step, sw, loss)
             for W, g_ in zip(model.weights, gW):
-                W -= config.lr * g_
+                W -= lr * g_
             for b, g_ in zip(model.biases, gb):
-                b -= config.lr * g_
+                b -= lr * g_
         epochs_run += 1
 
         val_probs = model.forward(val.features)

@@ -108,7 +108,11 @@ def make_scenario(params: ScenarioParams = ScenarioParams()) -> ScenarioSpec:
     density = np.zeros((G, params.grid_points))
     eta = np.zeros((G, params.grid_points))
     for a in range(G):
-        bump = np.exp(-0.5 * ((x - params.density_centers[a]) / params.density_widths[a]) ** 2)
+        with np.errstate(over="ignore"):  # a tiny width squares to inf, and exp(-inf) is 0
+            bump = np.exp(-0.5 * ((x - params.density_centers[a]) / params.density_widths[a]) ** 2)
+        if not bump.sum() > 0:  # a width far below the grid spacing, centered between points
+            width = params.density_widths[a]
+            raise InputError(f"density_widths[{a}] = {width!r} puts no mass on any grid point")
         density[a] = bump / bump.sum()
         eta[a] = np.where(x < transitions[a], params.rho_low[a], params.rho_high[a])
     return ScenarioSpec(grid=x, priors=np.asarray(params.priors, dtype=float), density=density, eta=eta)

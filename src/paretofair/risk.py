@@ -38,7 +38,7 @@ def _losses_and_grads(probs: np.ndarray, targets: np.ndarray, loss: str):
     if loss == "brier":
         diff = probs.copy()
         diff[rows, targets] -= 1.0
-        losses, grads = np.sum(diff**2, axis=1), 2.0 * diff
+        losses, grads = (diff**2).sum(axis=1), 2.0 * diff
     elif loss == "cross_entropy":
         p = probs[rows, targets]
         pc = np.clip(p, CLAMP, 1.0 - CLAMP)
@@ -47,7 +47,7 @@ def _losses_and_grads(probs: np.ndarray, targets: np.ndarray, loss: str):
         losses = -np.log(pc)
     else:
         raise InputError(f"unknown loss '{loss}'")
-    if not np.all(np.isfinite(losses)):
+    if not np.isfinite(losses).all():
         raise InputError("losses must be finite; the model's outputs are not (has training diverged?)")
     return losses, grads
 

@@ -15,7 +15,7 @@ from paretofair.adaptive import (
 )
 from paretofair.baselines import train_naive
 from paretofair.data import GroupedDataset, split_dataset
-from paretofair import oracle
+from paretofair import adaptive, oracle
 from paretofair.model import MLPClassifier, TrainConfig
 from paretofair.oracle import (
     ScenarioParams,
@@ -119,6 +119,39 @@ class TestGroupWeights:
         for _ in range(200):
             w = group_weights(rng.uniform(0, 1, 3), rng.uniform(0, 10, 3), rng.uniform(0, 1))
             assert np.all(w >= 1.0)
+
+    def test_same_bits_as_the_written_out_rule(self):
+        # 2.0 * mu * excess is evaluated as (2.0 * mu) * excess, so hoisting
+        # 2.0 * mu out of the minibatch loop keeps the bits
+        rng = np.random.default_rng(3)
+        for G in (1, 2, 3, 5):
+            for _ in range(200):
+                r, c = rng.uniform(0, 2, G), rng.uniform(0, 1)
+                mu = rng.uniform(0, 10, G) * rng.integers(0, 2, G)
+                expected = 1.0 + 2.0 * mu * np.maximum(r - c, 0.0)
+                assert group_weights(r, mu, c).tobytes() == expected.tobytes()
+
+    def test_each_fit_trains_with_group_weights_at_its_mu_and_c(self, monkeypatch):
+        rules = []
+        real = adaptive.sgd_early_stop
+
+        def spy(*args, **kwargs):
+            rules.append(kwargs["weight_rule"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "sgd_early_stop", spy)
+        ds = sample_dataset(make_scenario(ScenarioParams()), 1000, seed=3)
+        tr, va = split_dataset(ds, (0.75, 0.25), seed=0)
+        hp = _small_hp(max_outer_iters=5, max_epochs=2, patience=2, gamma0=1.0)
+        _, trace = pareto_fair_optimize(tr, va, MLPClassifier([1, 4, 2], seed=0), hp)
+        # fit k runs at the mu and c that row k - 1 records
+        mus = [np.full(2, hp.mu_init)] + [row.mu for row in trace[:-1]]
+        cs = [0.0] + [row.c for row in trace[:-1]]
+        assert len(rules) == len(trace) == 5
+        rng = np.random.default_rng(4)
+        for rule, mu, c in zip(rules, mus, cs):
+            for r in rng.uniform(0, 2, (50, 2)):
+                assert rule(r).tobytes() == group_weights(r, mu, c).tobytes()
 
 
 def run_script(risks, **hp):

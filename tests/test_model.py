@@ -10,6 +10,8 @@ from paretofair.data import GroupedDataset
 from paretofair.model import (
     MLPClassifier,
     TrainConfig,
+    _block_weights,
+    _rule_weights,
     load_checkpoint,
     save_checkpoint,
     sgd_early_stop,
@@ -167,6 +169,12 @@ class TestWeightedGrad:
             ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, np.nan], "finite"),
             ([[1.0, 2.0]], [0], [np.inf], "finite"),
             ([[1.0]], [0], [1.0], "input of width 2"),
+            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, np.nan], "finite and nonnegative"),
+            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, -1.0], "finite and nonnegative"),
+            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [np.inf, 1.0], "finite and nonnegative"),
+            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, -np.inf], "finite and nonnegative"),
+            # finite, but the sum is inf, and w / inf would be a zero gradient
+            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1e308, 1e308], "finite and nonnegative"),
         ],
     )
     def test_bad_input_rejected(self, X, targets, weights, message):
@@ -261,6 +269,32 @@ class TestLayerLoop:
         got_W, got_b = weighted_grad(m, X, y, w, loss)
         for a, b in zip(got_W + got_b, gW + gb):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dims", [[1, 6, 5, 2], [1, 3]])
+    @pytest.mark.parametrize("n", [1, 128, 4000])
+    def test_one_column_layer_matches_matmul_bitwise(self, activation, dims, n):
+        rng = np.random.default_rng(n)
+        m = MLPClassifier(dims, activation=activation, seed=4)
+        for b in m.biases:
+            b[...] = rng.standard_normal(b.shape)
+        X = rng.standard_normal((n, 1))
+        X[::3] = 0.0
+        X[1::3] = -np.abs(X[1::3])
+        W = m.weights[0]
+        W[0, ::2] = 0.0
+        m.biases[0][:2] = [-0.0, 0.0]
+        # each entry is one product either way; only a zero product's sign can
+        # differ (BLAS sums onto +0.0), and the bias, the next layer's sum or
+        # the softmax's exp takes both zeros to the same bits
+        assert np.array_equal(X * W, X @ W)
+        y = rng.integers(0, dims[-1], n)
+        w = rng.uniform(0.5, 3.0, n)
+        probs, gW, gb = reference_forward_and_grad(m, X, y, w, "brier")
+        assert m.forward(X).tobytes() == probs.tobytes()
+        got_W, got_b = weighted_grad(m, X, y, w, "brier")
+        for a, b in zip(got_W + got_b, gW + gb):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_forward_holds_at_most_two_hidden_activations(self, activation):
@@ -474,6 +508,24 @@ class TestStratifiedSgd:
         assert best_obj == ref_obj
         for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("G", [1, 2, 3, 5])
+    def test_block_weights_match_masked_group_means_bitwise(self, G):
+        rng = np.random.default_rng(G)
+        groups = np.arange(G)
+        for per in range(1, 301):
+            # losses of mixed magnitudes, so that the order of the sums shows
+            losses = rng.uniform(0, 2, G * per) * 10.0 ** rng.integers(-8, 1, G * per)
+            seen = []
+
+            def rule(r):
+                seen.append(r)
+                return 1.0 + r * np.arange(1, G + 1)
+
+            block = _block_weights(rule, G, per, losses)
+            masked = _rule_weights(rule, np.repeat(groups, per), G, losses)
+            assert seen[0].tobytes() == seen[1].tobytes()
+            assert block.tobytes() == masked.tobytes()
 
     def test_one_forward_pass_per_minibatch(self, monkeypatch):
         train, val = grouped_dataset(100, 2, seed=1), grouped_dataset(40, 2, seed=2)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from paretofair import oracle
+from paretofair import cli, oracle
 from paretofair.data import split_dataset
 from paretofair.oracle import (
     ScenarioParams,
@@ -61,6 +61,19 @@ class TestConstructor:
         short = replace(params, **{name: getattr(params, name)[:1]})
         with pytest.raises(InputError, match=name):
             make_scenario(short)
+
+    @pytest.mark.parametrize("width", [0.00001, 1e-300])
+    def test_width_with_no_mass_on_the_grid_is_named(self, width, tmp_path, capsys):
+        # 0.40125 lies halfway between grid points 0.4 and 0.4025, so a bump this
+        # narrow underflows to 0 everywhere; the filterwarnings setting turns any
+        # numpy warning on the way into a failure
+        path = tmp_path / "scenario.txt"
+        path.write_text(f"density_centers = 0.40125,0.6\ndensity_widths = {width!r},0.15\n")
+        with pytest.raises(InputError, match=r"density_widths\[0\] .* no mass"):
+            make_scenario(load_scenario(path))
+        out = str(tmp_path / "out")
+        assert cli.main(["oracle", "--scenario", str(path), "--num-lambda", "11", "--out", out]) == 1
+        assert "density_widths[0]" in capsys.readouterr().err
 
 
 class TestScenarioFile:
