@@ -159,7 +159,7 @@ def pareto_fair_optimize(
     def solve(start, mu, c, lr, seed):
         # group_weights with mu checked once per fit, not once per minibatch
         two_mu = 2.0 * _check_mu(mu, (train.num_groups,))
-        model.set_params(start)
+        model.params[...] = start
         sgd_early_stop(
             model,
             train,
@@ -169,10 +169,10 @@ def pareto_fair_optimize(
             config=TrainConfig(**{**inner, "lr": lr, "seed": seed}),
             loss=loss,
         )
-        return model.get_params(), evaluate_risk(model, val, loss)
+        return model.params.copy(), evaluate_risk(model, val, loss)
 
-    best, trace = outer_loop(solve, model.get_params(), train.num_groups, hp)
-    model.set_params(best)
+    best, trace = outer_loop(solve, model.params.copy(), train.num_groups, hp)
+    model.params[...] = best
     return model, trace
 
 

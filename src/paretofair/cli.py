@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from paretofair import adaptive, baselines, oracle, report
-from paretofair.data import GroupedDataset, _first_empty, load_csv, load_key_values, save_csv, split_dataset
+from paretofair.data import (
+    GroupedDataset, _first_empty, _fractions_ok, load_csv, load_key_values, save_csv, split_dataset,
+)
 from paretofair.model import (
     ACTIVATIONS, MLPClassifier, _check_field, _is_int, load_checkpoint, save_checkpoint,
 )
@@ -52,6 +54,7 @@ class ExperimentConfig(adaptive.PFHyperparams):
         _check_field(self, "n", _is_int(self.n) and self.n >= 1, "an integer >= 1")
         _check_seed(self)
         _check_field(self, "split", len(self.split) == 3, "three fractions (train, validation, test)")
+        _check_field(self, "split", _fractions_ok(self.split), "positive fractions that sum to 1")
 
 
 def build_config(path, overrides: dict) -> ExperimentConfig:
@@ -61,12 +64,12 @@ def build_config(path, overrides: dict) -> ExperimentConfig:
 
 
 def _load_experiment_data(cfg: ExperimentConfig) -> GroupedDataset:
+    if bool(cfg.data) == bool(cfg.scenario):
+        raise InputError("set exactly one of 'data' (CSV path) and 'scenario' (scenario file)")
     if cfg.data:
         return load_csv(cfg.data)
-    if cfg.scenario:
-        spec = oracle.make_scenario(oracle.load_scenario(cfg.scenario))
-        return oracle.sample_dataset(spec, cfg.n, cfg.seed)
-    raise ValueError("config needs either 'data' (CSV path) or 'scenario' (scenario file)")
+    spec = oracle.make_scenario(oracle.load_scenario(cfg.scenario))
+    return oracle.sample_dataset(spec, cfg.n, cfg.seed)
 
 
 def cmd_synth(args) -> int:

@@ -247,6 +247,11 @@ def load_csv(path) -> GroupedDataset:
         raise InputError(f"{path}: {exc}") from None
 
 
+def _fractions_ok(fractions) -> bool:
+    """Whether the split ``fractions`` are positive and sum to 1 (NaN fails)."""
+    return bool(np.all(np.greater(fractions, 0)) and abs(float(np.sum(fractions)) - 1.0) <= 1e-9)
+
+
 def split_dataset(dataset: GroupedDataset, fractions=(0.6, 0.2, 0.2), seed: int = 0):
     """Split stratified by (group, target) so every split keeps every group.
 
@@ -254,7 +259,7 @@ def split_dataset(dataset: GroupedDataset, fractions=(0.6, 0.2, 0.2), seed: int 
     split would miss a group.
     """
     fractions = np.asarray(fractions, dtype=float)
-    if not (np.all(fractions > 0) and abs(float(fractions.sum()) - 1.0) <= 1e-9):  # NaN fails too
+    if not _fractions_ok(fractions):
         raise InputError("split fractions must be positive and sum to 1")
     rng = np.random.default_rng(seed)
     k = len(fractions)

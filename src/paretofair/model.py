@@ -51,8 +51,17 @@ class TrainConfig:
         )
 
 
+def _num_params(layer_dims) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
+
+
 class MLPClassifier:
-    """Fully connected softmax classifier, zero or more hidden layers."""
+    """Fully connected softmax classifier, zero or more hidden layers.
+
+    ``params`` is one float64 vector holding, layer by layer, W row-major and
+    then b: a (fan_in + 1)-by-fan_out block each. ``weights`` and ``biases``
+    are tuples of views of those blocks. A snapshot is ``params.copy()``.
+    """
 
     def __init__(self, layer_dims, activation: str = "relu", seed: int = 0):
         layer_dims = list(int(d) for d in layer_dims)
@@ -64,27 +73,18 @@ class MLPClassifier:
         self.activation = activation
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.weights = []
-        self.biases = []
+        self.params = np.zeros(_num_params(layer_dims))
+        self.weights, self.biases, start = (), (), 0
         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            self.weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
-            self.biases.append(np.zeros(fan_out))
+            block = self.params[start : start + (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out)
+            block[:-1] = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
+            self.weights += (block[:-1],)
+            self.biases += (block[-1],)
+            start += block.size
 
     @property
     def num_classes(self) -> int:
         return self.layer_dims[-1]
-
-    # -- parameter snapshots (bit-exact copies) --------------------------------
-
-    def get_params(self):
-        return [W.copy() for W in self.weights], [b.copy() for b in self.biases]
-
-    def set_params(self, params):
-        weights, biases = params
-        for W, src in zip(self.weights, weights):
-            W[...] = src
-        for b, src in zip(self.biases, biases):
-            b[...] = src
 
     # -- forward ---------------------------------------------------------------
 
@@ -255,7 +255,7 @@ def sgd_early_stop(
         block_rule = partial(_block_weights, weight_rule, G, per)
 
     best_obj = np.inf
-    best_params = model.get_params()
+    best_params = model.params.copy()
     bad_epochs = 0
     epochs_run = 0
 
@@ -284,14 +284,14 @@ def sgd_early_stop(
         obj = float(objective(r_val))
         if obj < best_obj:
             best_obj = obj
-            best_params = model.get_params()
+            best_params = model.params.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
         if bad_epochs >= config.patience:
             break
 
-    model.set_params(best_params)
+    model.params[...] = best_params
     return model, best_obj, epochs_run
 
 
@@ -303,20 +303,15 @@ def sgd_early_stop(
 #   4 bytes   uint32 little-endian: number of layer dims
 #   4 bytes   uint32 per layer dim
 #   8 bytes   int64 seed
-#   then for each layer: W (fan_in*fan_out float64, row-major), b (fan_out float64)
+#   then params: W_0 (fan_in*fan_out float64, row-major), b_0 (fan_out float64), W_1, b_1, ...
 
 
 def save_checkpoint(model: MLPClassifier, path):
+    dims = model.layer_dims
+    header = struct.pack(f"<BI{len(dims)}Iq", ACTIVATIONS.index(model.activation), len(dims), *dims, model.seed)
     with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<B", ACTIVATIONS.index(model.activation)))
-        fh.write(struct.pack("<I", len(model.layer_dims)))
-        for d in model.layer_dims:
-            fh.write(struct.pack("<I", d))
-        fh.write(struct.pack("<q", model.seed))
-        for W, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(W, dtype=float).tobytes())
-            fh.write(np.ascontiguousarray(b, dtype=float).tobytes())
+        fh.write(_CKPT_MAGIC + header)
+        fh.write(model.params.tobytes())
 
 
 def load_checkpoint(path) -> MLPClassifier:
@@ -327,26 +322,18 @@ def load_checkpoint(path) -> MLPClassifier:
     pos = len(_CKPT_MAGIC)
     try:
         tag, ndims = struct.unpack_from("<BI", buf, pos)
-        dims = struct.unpack_from(f"<{ndims}I", buf, pos + 5)
-        (seed,) = struct.unpack_from("<q", buf, pos + 5 + 4 * ndims)
+        *dims, seed = struct.unpack_from(f"<{ndims}Iq", buf, pos + 5)
     except struct.error:
         raise InputError(f"{path}: truncated checkpoint header") from None
     if tag >= len(ACTIVATIONS):
         raise InputError(f"{path}: unknown activation tag {tag}")
     pos += 5 + 4 * ndims + 8
-    shapes = list(zip(dims[:-1], dims[1:]))
-    expected = pos + 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+    expected = pos + 8 * _num_params(dims)
     if len(buf) != expected:
         raise InputError(f"{path}: {len(buf)} bytes, but the header implies {expected}")
     try:
         model = MLPClassifier(dims, activation=ACTIVATIONS[tag], seed=seed)
     except ValueError as exc:  # bad dims, or a seed numpy rejects
         raise InputError(f"{path}: {exc}") from None
-    params = np.frombuffer(buf, dtype=float, offset=pos)
-    start = 0
-    for i, (fan_in, fan_out) in enumerate(shapes):
-        stop = start + fan_in * fan_out
-        model.weights[i] = params[start:stop].reshape(fan_in, fan_out).copy()
-        model.biases[i] = params[stop : stop + fan_out].copy()
-        start = stop + fan_out
+    model.params[...] = np.frombuffer(buf, dtype=float, offset=pos)
     return model

@@ -7,6 +7,7 @@ __sample_mean, __group_mean and __discrepancy (their ratio / n cells are empty).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -73,6 +74,9 @@ def load_metrics_csv(path):
     """Returns (method, group rows dict, summary rows dict); the method is the last row's."""
     blocks = read_table(path, exact_header(_HEADER, lambda rows: list(map(_parse_metrics_row, rows))))
     rows = list(chain.from_iterable(blocks))
+    repeated = [name for name, count in Counter(name for _method, name, _values in rows).items() if count > 1]
+    if repeated:
+        raise InputError(f"{path}: repeated row {repeated[0]}")
     summary = {name: values for _method, name, values in rows if name in SUMMARY_ROWS}
     for name in SUMMARY_ROWS:
         if name not in summary:

@@ -159,6 +159,10 @@ def reference_load_csv(path):
 def reference_load_metrics_csv(path):
     """load_metrics_csv over the per-row reader."""
     rows = reference_read_table(path, exact_header(_HEADER, _parse_metrics_row))
+    names = [name for _method, name, _values in rows]
+    for name in names:
+        if names.count(name) > 1:
+            raise InputError(f"{path}: repeated row {name}")
     summary = {name: values for _method, name, values in rows if name in SUMMARY_ROWS}
     for name in SUMMARY_ROWS:
         if name not in summary:

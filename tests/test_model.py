@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,47 @@ class TestInit:
     def test_bad_dims(self):
         with pytest.raises(InputError):
             MLPClassifier([4])
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dims", [[1, 2], [3, 5, 2], [1, 64, 64, 2]])
+    def test_params_hold_the_per_layer_draws(self, dims, activation):
+        m = MLPClassifier(dims, activation=activation, seed=7)
+        # each layer drawn as its own array, W then a zero b, in layer order
+        rng = np.random.default_rng(7)
+        layers = []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            layers += [rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in), np.zeros(fan_out)]
+        assert m.params.dtype == np.float64
+        assert m.params.tobytes() == b"".join(layer.tobytes() for layer in layers)
+        for got, want in zip([x for pair in zip(m.weights, m.biases) for x in pair], layers):
+            assert got.tobytes() == want.tobytes()
+
+    def test_layers_cannot_be_rebound(self):
+        m = MLPClassifier([2, 3, 2])
+        with pytest.raises(TypeError):
+            m.weights[0] = np.zeros((2, 3))
+        with pytest.raises(TypeError):
+            m.biases[1] = np.zeros(2)
+
+    def test_sgd_step_writes_the_vector(self):
+        rng = np.random.default_rng(3)
+        m = MLPClassifier([2, 4, 3], seed=1)
+        X, y = rng.standard_normal((16, 2)), rng.integers(0, 3, 16)
+        before = m.params.copy()
+        gW, gb = weighted_grad(m, X, y, np.ones(16))
+        for W, g in zip(m.weights, gW):
+            W -= 0.5 * g
+        for b, g in zip(m.biases, gb):
+            b -= 0.5 * g
+        assert not np.array_equal(m.params, before)
+        want = [before[:8].reshape(2, 4) - 0.5 * gW[0], before[8:12] - 0.5 * gb[0],
+                before[12:24].reshape(4, 3) - 0.5 * gW[1], before[24:] - 0.5 * gb[1]]
+        assert m.params.tobytes() == b"".join(part.tobytes() for part in want)
+
+    def test_restoring_a_short_snapshot_raises(self):
+        m = MLPClassifier([2, 3, 2])
+        with pytest.raises(ValueError):
+            m.params[...] = m.params[:-2].copy()
 
 
 class TestForward:
@@ -383,7 +425,7 @@ class TestSgdEarlyStop:
         # independent plain SGD with the same batch schedule and no weighting
         ref = MLPClassifier([1, 4, 2], seed=5)
         rng = np.random.default_rng(cfg.seed)
-        best = ref.get_params()
+        best = ref.params.copy()
         best_obj = np.inf
         for _ in range(cfg.max_epochs):
             order = rng.permutation(train.n)
@@ -399,8 +441,8 @@ class TestSgdEarlyStop:
             obj = mean_objective(group_risks(ref.forward(val.features), val.targets, val.groups))
             if obj < best_obj:
                 best_obj = obj
-                best = ref.get_params()
-        ref.set_params(best)
+                best = ref.params.copy()
+        ref.params[...] = best
 
         for a, b in zip(model.weights, ref.weights):
             assert np.array_equal(a, b)
@@ -465,7 +507,7 @@ def reference_stratified_sgd(model, train, val, objective, weight_rule, cfg, los
     G = train.num_groups
     group_indices = [np.flatnonzero(train.groups == a) for a in range(G)]
     per = -(-cfg.batch_size // G)
-    best, best_obj = model.get_params(), np.inf
+    best, best_obj = model.params.copy(), np.inf
     for _ in range(cfg.max_epochs):
         for _ in range(-(-train.n // cfg.batch_size)):
             idx = np.concatenate([g[rng.integers(0, len(g), size=per)] for g in group_indices])
@@ -479,8 +521,8 @@ def reference_stratified_sgd(model, train, val, objective, weight_rule, cfg, los
                 b -= cfg.lr * g
         obj = objective(group_risks(model.forward(val.features), val.targets, val.groups, loss))
         if obj < best_obj:
-            best_obj, best = obj, model.get_params()
-    model.set_params(best)
+            best_obj, best = obj, model.params.copy()
+    model.params[...] = best
     return best_obj
 
 
@@ -557,10 +599,19 @@ class TestCheckpoint:
         back = load_checkpoint(path)
         assert back.layer_dims == m.layer_dims
         assert back.activation == m.activation
+        assert back.params.tobytes() == m.params.tobytes()
         for a, b in zip(m.weights, back.weights):
             assert np.array_equal(a, b)
         for a, b in zip(m.biases, back.biases):
             assert np.array_equal(a, b)
+
+    def test_file_is_the_header_then_params(self, tmp_path):
+        m = MLPClassifier([3, 7, 4], activation="tanh", seed=11)
+        m.params[...] = np.random.default_rng(0).standard_normal(m.params.shape)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        header = b"PFCKPT1\n" + struct.pack("<BI3Iq", 1, 3, 3, 7, 4, 11)
+        assert path.read_bytes() == header + m.params.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -35,6 +35,10 @@ def small_test_set(acceptance_spec):
     return sample_dataset(acceptance_spec, 600, seed=0)
 
 
+METRICS_HEAD = "method,group,ratio,accuracy,brier,n\n"
+SUMMARY = "x,__sample_mean,,0.5,0.5,\nx,__group_mean,,0.5,0.5,\nx,__discrepancy,,0.0,0.0,\n"
+
+
 class TestMetricsCsv:
     def test_round_trip(self, small_test_set, tmp_path):
         model = MLPClassifier([1, 8, 2], seed=0)
@@ -86,6 +90,10 @@ class TestMetricsCsv:
             ("method,group,ratio,accuracy,brier,n\nx,g0,0.5,0.9\n", r"m\.csv:2: expected 6 fields, got 4"),
             ("method,group,ratio,accuracy,brier,n\nx,g0,0.5,high,0.1,10\n", r"m\.csv:2: "),
             ("method,group,ratio,accuracy,brier,n\nx,g0,1.0,0.9,0.1,10\n", r"m\.csv: missing summary row"),
+            (METRICS_HEAD + "x,g0,0.5,0.9,0.1,10\nx,g1,0.5,0.8,0.2,10\nx,g0,0.5,0.7,0.3,10\n" + SUMMARY,
+             r"m\.csv: repeated row g0$"),
+            (METRICS_HEAD + "x,g0,0.5,0.9,0.1,10\n" + SUMMARY + "x,__discrepancy,,0.1,0.1,\n",
+             r"m\.csv: repeated row __discrepancy$"),
         ],
     )
     def test_malformed_files_name_the_path(self, tmp_path, text, message):
@@ -344,12 +352,26 @@ class TestCliCommands:
         assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("inputs", ["both", "neither"])
+    def test_train_needs_exactly_one_of_data_and_scenario(
+        self, inputs, scenario_file, small_test_set, tmp_path, capsys
+    ):
+        data = tmp_path / "d.csv"
+        save_csv(small_test_set, data)
+        flags = ["--data", str(data), "--scenario", scenario_file] if inputs == "both" else []
+        out = tmp_path / "run"
+        assert cli.main(["train", *flags, "--method", "naive", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "paretofair train: error: set exactly one of 'data' (CSV path) and 'scenario' (scenario file)"
+        assert not (out / "model.ckpt").exists()
+
     @pytest.mark.parametrize("line, flags, message", [
         ("", ["--seed", "-1"], "seed must be an integer in [0, 2**63), got -1"),
         ("seed = -1", [], "seed must be an integer in [0, 2**63), got -1"),
         # at the parent this trained and then failed writing the checkpoint
         ("", ["--seed", str(2**63)], f"seed must be an integer in [0, 2**63), got {2**63}"),
         ("split = 0.5, 0.5", [], "split must be three fractions (train, validation, test), got (0.5, 0.5)"),
+        ("split = 0.5, 0.5, 0.5", [], "split must be positive fractions that sum to 1, got (0.5, 0.5, 0.5)"),
         ("loss = hinge", [], "loss must be one of ('brier', 'cross_entropy'), got 'hinge'"),
         ("hidden = 0", [], "hidden must be integer widths >= 1, got (0,)"),
         ("hidden = 8, -2", [], "hidden must be integer widths >= 1, got (8, -2)"),
