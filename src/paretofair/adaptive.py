@@ -17,7 +17,9 @@ import numpy as np
 
 from paretofair.data import GroupedDataset, write_table
 from paretofair.model import MLPClassifier, TrainConfig, _check_field, _is_int, sgd_early_stop
-from paretofair.risk import InputError, archive_insert, group_risks, max_gap
+from paretofair.risk import InputError, archive_insert, max_gap
+# not called here: bench/selftest.py checks that the bench tracer patches this binding
+from paretofair.risk import group_risks  # noqa: F401
 
 _EPS = 1e-12
 
@@ -81,11 +83,6 @@ class PFHyperparams(TrainConfig):
         _check_field(self, "lr_min", self.lr_min >= 0, "nonnegative")
 
 
-def evaluate_risk(model: MLPClassifier, val: GroupedDataset, loss: str = "brier") -> np.ndarray:
-    probs = model.forward(val.features)
-    return group_risks(probs, val.targets, val.groups, loss)
-
-
 @dataclass(frozen=True)
 class TraceRow:
     iteration: int
@@ -147,9 +144,10 @@ def pareto_fair_optimize(
 ):
     """``outer_loop`` with weighted SGD as its solver; returns (best_model, trace).
 
-    Each step restores the snapshot it is given, runs one ``sgd_early_stop``
-    on the adaptive loss and scores the model on ``val``. The returned model
-    carries the parameters of the last accepted step.
+    Each step restores the snapshot it is given and runs one
+    ``sgd_early_stop`` on the adaptive loss; the step's risks are the fit's
+    validation risks at the epoch it restores. The returned model carries
+    the parameters of the last accepted step.
     """
     if val.num_groups != train.num_groups:
         raise InputError("validation set must contain every training group")
@@ -160,7 +158,7 @@ def pareto_fair_optimize(
         # group_weights with mu checked once per fit, not once per minibatch
         two_mu = 2.0 * _check_mu(mu, (train.num_groups,))
         model.params[...] = start
-        sgd_early_stop(
+        _, risks, _ = sgd_early_stop(
             model,
             train,
             val,
@@ -169,7 +167,7 @@ def pareto_fair_optimize(
             config=TrainConfig(**{**inner, "lr": lr, "seed": seed}),
             loss=loss,
         )
-        return model.params.copy(), evaluate_risk(model, val, loss)
+        return model.params.copy(), risks
 
     best, trace = outer_loop(solve, model.params.copy(), train.num_groups, hp)
     model.params[...] = best

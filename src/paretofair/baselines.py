@@ -12,10 +12,6 @@ from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
 from paretofair.risk import InputError, group_means
 
 
-def _uniform_weights(r) -> np.ndarray:
-    return np.ones(len(r))
-
-
 def train_naive(
     model: MLPClassifier,
     train: GroupedDataset,
@@ -29,7 +25,7 @@ def train_naive(
     def objective(r) -> float:
         return float(np.dot(r, counts) / counts.sum())
 
-    model, _, _ = sgd_early_stop(model, train, val, objective, _uniform_weights, config, loss, stratified=False)
+    model, _, _ = sgd_early_stop(model, train, val, objective, None, config, loss)
     return model
 
 
@@ -45,7 +41,7 @@ def train_rebalanced(
     def objective(r) -> float:
         return float(r.mean())
 
-    model, _, _ = sgd_early_stop(model, train, val, objective, _uniform_weights, config, loss)
+    model, _, _ = sgd_early_stop(model, train, val, objective, np.ones_like, config, loss)
     return model
 
 

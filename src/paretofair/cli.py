@@ -31,6 +31,10 @@ def _check_seed(obj):
     _check_field(obj, "seed", _is_int(obj.seed) and 0 <= obj.seed < 2**63, "an integer in [0, 2**63)")
 
 
+def _check_n(obj):
+    _check_field(obj, "n", _is_int(obj.n) and obj.n >= 1, "an integer >= 1")
+
+
 @dataclass
 class ExperimentConfig(adaptive.PFHyperparams):
     """Every key a ``--config`` file may set: the trainer settings it inherits, and these."""
@@ -51,7 +55,7 @@ class ExperimentConfig(adaptive.PFHyperparams):
         _check_field(self, "loss", self.loss in LOSSES, f"one of {LOSSES}")
         _check_field(self, "activation", self.activation in ACTIVATIONS, f"one of {ACTIVATIONS}")
         _check_field(self, "hidden", all(_is_int(w) and w >= 1 for w in self.hidden), "integer widths >= 1")
-        _check_field(self, "n", _is_int(self.n) and self.n >= 1, "an integer >= 1")
+        _check_n(self)
         _check_seed(self)
         _check_field(self, "split", len(self.split) == 3, "three fractions (train, validation, test)")
         _check_field(self, "split", _fractions_ok(self.split), "positive fractions that sum to 1")
@@ -68,15 +72,22 @@ def _load_experiment_data(cfg: ExperimentConfig) -> GroupedDataset:
         raise InputError("set exactly one of 'data' (CSV path) and 'scenario' (scenario file)")
     if cfg.data:
         return load_csv(cfg.data)
-    spec = oracle.make_scenario(oracle.load_scenario(cfg.scenario))
-    return oracle.sample_dataset(spec, cfg.n, cfg.seed)
+    return _sample_scenario(cfg.scenario, cfg.n, cfg.seed)
+
+
+def _sample_scenario(path, n: int, seed: int) -> GroupedDataset:
+    """``n`` rows drawn from the scenario file ``path``; errors past loading it name it too."""
+    params = oracle.load_scenario(path)  # its errors name the file already
+    try:
+        return oracle.sample_dataset(oracle.make_scenario(params), n, seed)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def cmd_synth(args) -> int:
     _check_seed(args)
-    params = oracle.load_scenario(args.scenario)
-    spec = oracle.make_scenario(params)
-    ds = oracle.sample_dataset(spec, args.n, args.seed)
+    _check_n(args)
+    ds = _sample_scenario(args.scenario, args.n, args.seed)
     save_csv(ds, args.out)
     print(f"wrote {ds.n} samples to {args.out}")
     return 0

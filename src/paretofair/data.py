@@ -287,11 +287,11 @@ def split_dataset(dataset: GroupedDataset, fractions=(0.6, 0.2, 0.2), seed: int 
 def load_key_values(path, cls):
     """Build the dataclass ``cls`` from a flat ``key = value`` text file.
 
-    One key per line; '#' starts a comment. Each value is coerced by the type
-    of its field's default: int, float, a comma-separated tuple of the type of
-    the default's first item (empty items dropped, so ``hidden =`` is ``()``),
-    or else str. Errors name ``path:line``, or ``path`` when the class's own
-    checks reject a value.
+    One key per line, each at most once; '#' starts a comment. Each value is
+    coerced by the type of its field's default: int, float, a comma-separated
+    tuple of the type of the default's first item (empty items dropped, so
+    ``hidden =`` is ``()``), or else str. Errors name ``path:line``, or
+    ``path`` when the class's own checks reject a value.
     """
     defaults = {f.name: f.default for f in fields(cls)}
     values = {}
@@ -309,6 +309,8 @@ def load_key_values(path, cls):
             raise InputError(f"{path}:{lineno}: expected 'key = value'")
         if key not in defaults:
             raise InputError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in values:
+            raise InputError(f"{path}:{lineno}: repeated key '{key}'")
         default = defaults[key]
         try:
             if isinstance(default, tuple):

@@ -10,12 +10,11 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
 from paretofair.data import GroupedDataset
-from paretofair.risk import InputError, _check_targets, _losses_and_grads, group_means, group_risks
+from paretofair.risk import InputError, _check_targets, _losses_and_grads, group_risks
 
 ACTIVATIONS = ("relu", "tanh")
 _CKPT_MAGIC = b"PFCKPT1\n"
@@ -188,17 +187,10 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
     return grad_W, grad_b
 
 
-def _rule_weights(weight_rule, groups, G: int, losses) -> np.ndarray:
-    """Per-sample weights of one minibatch: its group risks mapped through ``weight_rule``."""
-    w_groups = np.asarray(weight_rule(group_means(losses, groups, G)[0]), dtype=float)
-    return w_groups[groups]
-
-
 def _block_weights(weight_rule, G: int, per: int, losses) -> np.ndarray:
-    """``_rule_weights`` of a stratified batch: ``per`` rows of group 0, then of group 1, ...
-
-    Each group's rows are one contiguous block, so a row of the reshaped
-    losses is that group's mask, and its mean has the same bits.
+    """Per-sample weights of a batch of ``per`` rows of group 0, then of group 1, ...:
+    its G group means through ``weight_rule``. A row of the reshaped losses is
+    one group's block, so its mean has the bits of that group's masked mean.
     """
     w_groups = np.asarray(weight_rule(losses.reshape(G, per).mean(axis=1)), dtype=float)
     return np.repeat(w_groups, per)
@@ -212,67 +204,64 @@ def sgd_early_stop(
     weight_rule,
     config: TrainConfig,
     loss: str = "brier",
-    stratified: bool = True,
 ):
     """Minibatch SGD with group-dependent sample weights and early stopping.
 
-    Each minibatch estimates per-group risks, maps them through
-    ``weight_rule`` to G weights, and applies those as sample weights in the
-    gradient. ``weight_rule`` receives the batch's mean loss per group, a
-    float array of length G (0 for a group the batch does not hold). The
-    risks come from the forward pass of the gradient itself
-    (``weighted_grad`` takes the weights as a function of the batch's
-    losses), so a step runs one forward and one backward pass. ``stratified``
-    batches take ceil(batch_size / G) rows of each group, drawn with
-    replacement; otherwise each epoch walks one permutation of the rows.
-    Either way the epoch's rows are gathered once and each step takes a
-    slice of them.
+    With ``weight_rule=None`` this is ERM: each epoch walks one permutation
+    of the rows, and every row has weight 1. Otherwise each batch takes
+    ceil(batch_size / G) rows of each group, drawn with replacement, and
+    ``weight_rule`` maps the batch's mean loss per group, a float array of
+    length G, to the G weights of the group's rows. Those risks come from
+    the forward pass of the gradient itself (``weighted_grad`` takes the
+    weights as a function of the batch's losses), so a step runs one forward
+    and one backward pass. Each epoch gathers its rows once and each step
+    takes a slice of them.
     After each epoch the ``objective`` is evaluated on the validation group
     risks, the float array of length G that ``group_risks`` gives; the best
     parameters seen are restored at the end. Training stops once
     ``patience`` consecutive epochs bring no improvement, or at
     ``max_epochs``. Non-finite losses, as from a diverged model, raise
-    InputError at the minibatch that meets them.
+    InputError at the minibatch that meets them, and a non-finite objective
+    at the epoch that gives it.
 
-    Returns (model, best_val_objective, epochs_run). The model is updated in
+    Returns (model, best_risks, epochs_run), where ``best_risks`` are the
+    validation group risks of the restored epoch. The model is updated in
     place and also returned.
     """
     rng = np.random.default_rng(config.seed)
-    G = train.num_groups
     n = train.n
     lr, bs = config.lr, config.batch_size
-    n_batches = -(-n // bs)
-    if stratified:
-        # A stratified batch holds ``per`` rows of group 0, then of group 1, and
+    if weight_rule is None:
+        weights = np.ones_like
+    else:
+        # Each batch holds ``per`` rows of group 0, then of group 1, and
         # so on, indexing the training rows sorted by group. One draw per epoch
         # bounds each row by its group's size, so the draws, and the generator
         # state after them, equal those of one rng.integers call per group per
         # batch.
-        per = -(-bs // G)
+        G = train.num_groups
+        n_batches, per = -(-n // bs), -(-bs // G)
         pool = np.argsort(train.groups, kind="stable")
         sizes = np.bincount(train.groups, minlength=G)
         starts = np.cumsum(sizes) - sizes
-        block_rule = partial(_block_weights, weight_rule, G, per)
+        weights = partial(_block_weights, weight_rule, G, per)
 
+    # a finite objective always beats inf, so the first epoch sets best_risks and best_params
     best_obj = np.inf
-    best_params = model.params.copy()
     bad_epochs = 0
     epochs_run = 0
 
     for _epoch in range(config.max_epochs):
-        if stratified:
+        if weight_rule is None:
+            order = rng.permutation(n)
+            X, y = train.features[order], train.targets[order]
+            steps = ((X[j : j + bs], y[j : j + bs]) for j in range(0, n, bs))
+        else:
             draws = rng.integers(0, sizes[:, None], size=(n_batches, G, per)) + starts[:, None]
             batches = pool[draws].reshape(n_batches, G * per)
-            steps = zip(train.features[batches], train.targets[batches], repeat(block_rule))
-        else:
-            order = rng.permutation(n)
-            X, y, a = train.features[order], train.targets[order], train.groups[order]
-            steps = (
-                (X[j : j + bs], y[j : j + bs], partial(_rule_weights, weight_rule, a[j : j + bs], G))
-                for j in range(0, n, bs)
-            )
-        for X_step, y_step, sw in steps:
-            gW, gb = weighted_grad(model, X_step, y_step, sw, loss)
+            steps = zip(train.features[batches], train.targets[batches])
+        for X_step, y_step in steps:
+            gW, gb = weighted_grad(model, X_step, y_step, weights, loss)
             for W, g_ in zip(model.weights, gW):
                 W -= lr * g_
             for b, g_ in zip(model.biases, gb):
@@ -282,8 +271,10 @@ def sgd_early_stop(
         val_probs = model.forward(val.features)
         r_val = group_risks(val_probs, val.targets, val.groups, loss)
         obj = float(objective(r_val))
+        if not math.isfinite(obj):
+            raise InputError(f"the objective is {obj} after epoch {epochs_run}; it must be finite")
         if obj < best_obj:
-            best_obj = obj
+            best_obj, best_risks = obj, r_val
             best_params = model.params.copy()
             bad_epochs = 0
         else:
@@ -292,7 +283,7 @@ def sgd_early_stop(
             break
 
     model.params[...] = best_params
-    return model, best_obj, epochs_run
+    return model, best_risks, epochs_run
 
 
 # -- checkpoint format ---------------------------------------------------------

@@ -263,7 +263,7 @@ def exact_solver(spec: ScenarioSpec):
 
 
 def sample_dataset(spec: ScenarioSpec, n: int, seed: int = 0) -> GroupedDataset:
-    """Draw n triplets (x, y, a); x is jittered uniformly within its grid bin."""
+    """Draw n triplets (x, y, a), x jittered within its grid bin; InputError if a group gets none."""
     if not (_is_int(n) and n >= 1):
         raise InputError(f"n must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
@@ -272,8 +272,9 @@ def sample_dataset(spec: ScenarioSpec, n: int, seed: int = 0) -> GroupedDataset:
     bins = np.zeros(n, dtype=int)
     for a in range(G):
         mask = groups == a
-        if mask.any():
-            bins[mask] = rng.choice(B, size=int(mask.sum()), p=spec.density[a])
+        if not mask.any():
+            raise InputError(f"group {a} has no samples in a draw of {n}")
+        bins[mask] = rng.choice(B, size=int(mask.sum()), p=spec.density[a])
     h = float(spec.grid[1] - spec.grid[0])
     x = spec.grid[bins] + rng.uniform(-0.5, 0.5, size=n) * h
     y = (rng.random(n) < spec.eta[groups, bins]).astype(int)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from paretofair.oracle import ScenarioParams, make_scenario, trace_front
+from paretofair.risk import group_risks
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +45,11 @@ THREE_GROUP_PARAMS = ScenarioParams(
 @pytest.fixture(scope="session")
 def three_group_spec():
     return make_scenario(THREE_GROUP_PARAMS)
+
+
+def model_risks(model, ds, loss="brier"):
+    """Group risks of ``model``'s predictions on the dataset ``ds``."""
+    return group_risks(model.forward(ds.features), ds.targets, ds.groups, loss)
 
 
 def brute_force_nondominated(vectors):

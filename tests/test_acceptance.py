@@ -16,7 +16,6 @@ from paretofair import cli
 from paretofair.adaptive import (
     PFHyperparams,
     adaptive_loss,
-    evaluate_risk,
     group_weights,
     pareto_fair_optimize,
 )
@@ -36,7 +35,7 @@ from paretofair.oracle import (
     trace_front,
 )
 from paretofair.risk import archive_insert, group_risks, max_gap, sample_losses
-from conftest import brute_force_nondominated
+from conftest import brute_force_nondominated, model_risks
 
 SEEDS = (0, 1, 2)
 ARCH = (1, 64, 64, 2)
@@ -236,7 +235,7 @@ def test_criterion_07_end_to_end_convergence(acceptance_spec, front, trained_run
         target = pareto_fair_point(front)[2:]
         for seed in SEEDS:
             run = trained_runs[seed]
-            r_test = evaluate_risk(run["pf"], run["test"])
+            r_test = model_risks(run["pf"], run["test"])
             assert np.all(np.abs(r_test - target) < 0.03), f"seed {seed}: {r_test} vs {target}"
 
 
@@ -246,7 +245,7 @@ def test_criterion_08_baseline_ordering(trained_runs):
             run = trained_runs[seed]
             disc = {}
             for name in ("pf", "rebalanced", "naive"):
-                r = evaluate_risk(run[name], run["test"])
+                r = model_risks(run[name], run["test"])
                 disc[name] = float(r.max() - r.min())
             assert disc["pf"] + 0.01 <= disc["rebalanced"], f"seed {seed}: {disc}"
             assert disc["rebalanced"] + 0.01 <= disc["naive"], f"seed {seed}: {disc}"
@@ -265,7 +264,7 @@ def test_criterion_09_trace_invariants(trained_runs):
             for row in accepted:
                 assert row.c < row.risks.min()
             # rejected steps are undone bit for bit: the returned model is the last accepted one
-            assert np.array_equal(evaluate_risk(run["pf"], run["val"]), accepted[-1].risks)
+            assert np.array_equal(model_risks(run["pf"], run["val"]), accepted[-1].risks)
 
 
 def test_criterion_10_postprocessing_equalizes(trained_runs):

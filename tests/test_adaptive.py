@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from paretofair.adaptive import (
     PFHyperparams,
     adaptive_loss,
-    evaluate_risk,
     group_weights,
     outer_loop,
     pareto_fair_optimize,
@@ -28,6 +27,7 @@ from paretofair.oracle import (
     trace_front,
 )
 from paretofair.risk import InputError, dominates, max_gap
+from conftest import model_risks
 
 
 class TestAdaptiveLoss:
@@ -251,35 +251,6 @@ class TestOuterLoopScripted:
         assert best == f"s{kept[-1].iteration}"
 
 
-class TestEvaluateRisk:
-    def test_zero_weight_binary_model(self):
-        model = MLPClassifier([1, 2])
-        model.weights[0][...] = 0.0
-        ds = GroupedDataset(features=[[0.1], [0.2], [0.3]], targets=[0, 1, 0], groups=[0, 1, 0])
-        r = evaluate_risk(model, ds)
-        assert np.allclose(r, 0.5)
-
-    def test_matches_manual_scan(self):
-        rng = np.random.default_rng(3)
-        model = MLPClassifier([2, 5, 2], seed=4)
-        ds = GroupedDataset(
-            features=rng.standard_normal((30, 2)),
-            targets=rng.integers(0, 2, 30),
-            groups=np.r_[np.zeros(15, dtype=int), np.ones(15, dtype=int)],
-        )
-        r = evaluate_risk(model, ds)
-        probs = model.forward(ds.features)
-        for a in range(2):
-            total, cnt = 0.0, 0
-            for i in range(30):
-                if ds.groups[i] == a:
-                    onehot = np.zeros(2)
-                    onehot[ds.targets[i]] = 1.0
-                    total += float(np.sum((probs[i] - onehot) ** 2))
-                    cnt += 1
-            assert r[a] == pytest.approx(total / cnt)
-
-
 def _small_hp(seed=0, **kw):
     defaults = dict(lr=0.2, batch_size=64, max_epochs=15, patience=3, seed=seed, max_outer_iters=10,
                     max_consecutive_rejects=4)
@@ -299,11 +270,11 @@ class TestOuterLoop:
 
         pf_model = MLPClassifier([1, 2], seed=1)
         pf_model, _ = pareto_fair_optimize(tr, va, pf_model, _small_hp(seed=1))
-        r_pf = evaluate_risk(pf_model, va)[0]
+        r_pf = model_risks(pf_model, va)[0]
 
         naive = MLPClassifier([1, 2], seed=1)
         train_naive(naive, tr, va, TrainConfig(lr=0.2, batch_size=64, max_epochs=15, patience=3, seed=1))
-        r_naive = evaluate_risk(naive, va)[0]
+        r_naive = model_risks(naive, va)[0]
         assert abs(r_pf - r_naive) < 1e-3
 
     def test_symmetric_scenario_reaches_zero_gap(self):
@@ -320,7 +291,7 @@ class TestOuterLoop:
         tr, va = split_dataset(ds, (0.75, 0.25), seed=0)
         model = MLPClassifier([1, 32, 32, 2], seed=2)
         model, trace = pareto_fair_optimize(tr, va, model, _small_hp(seed=2))
-        final_gap = max_gap(evaluate_risk(model, va))
+        final_gap = max_gap(model_risks(model, va))
         assert final_gap <= 0.02
 
     def test_trace_invariants(self):
@@ -338,7 +309,7 @@ class TestOuterLoop:
             if row.accepted:
                 assert row.c < row.risks.min()
         # the returned model reproduces the last accepted risk vector
-        final = evaluate_risk(model, va)
+        final = model_risks(model, va)
         last_accept = [row for row in trace if row.accepted][-1]
         assert np.array_equal(final, last_accept.risks)
 
@@ -366,7 +337,7 @@ class TestOuterLoop:
         assert len(set(gaps)) == len(gaps)
         for row in accepted:
             assert row.c < row.risks.min()
-        assert np.array_equal(evaluate_risk(model, va), accepted[-1].risks)
+        assert np.array_equal(model_risks(model, va), accepted[-1].risks)
 
     def test_val_missing_group_errors(self):
         spec = make_scenario(ScenarioParams())

@@ -12,7 +12,6 @@ from paretofair.model import (
     MLPClassifier,
     TrainConfig,
     _block_weights,
-    _rule_weights,
     load_checkpoint,
     save_checkpoint,
     sgd_early_stop,
@@ -414,13 +413,16 @@ class TestSgdEarlyStop:
         _, _, epochs = sgd_early_stop(model, train, val, mean_objective, uniform_rule, cfg)
         assert epochs == 1
 
-    def test_uniform_weights_match_plain_sgd_bitwise(self):
-        train = separable_dataset(48, seed=3)
-        val = separable_dataset(48, seed=4)
+    @pytest.mark.parametrize(
+        "make_data", [separable_dataset, lambda n, seed: grouped_dataset(n, 3, seed)], ids=["G2", "G3"]
+    )
+    def test_uniform_weights_match_plain_sgd_bitwise(self, make_data):
+        train = make_data(48, seed=3)
+        val = make_data(48, seed=4)
         cfg = TrainConfig(lr=0.2, batch_size=16, max_epochs=4, patience=4, seed=7)
 
         model = MLPClassifier([1, 4, 2], seed=5)
-        model, _, _ = sgd_early_stop(model, train, val, mean_objective, uniform_rule, cfg, stratified=False)
+        model, _, _ = sgd_early_stop(model, train, val, mean_objective, None, cfg)
 
         # independent plain SGD with the same batch schedule and no weighting
         ref = MLPClassifier([1, 4, 2], seed=5)
@@ -461,15 +463,16 @@ class TestSgdEarlyStop:
             return val_
 
         cfg = TrainConfig(lr=0.3, batch_size=8, max_epochs=30, patience=30, seed=0)
-        model, best, _ = sgd_early_stop(model, train, val, spy_objective, uniform_rule, cfg)
+        model, best_risks, _ = sgd_early_stop(model, train, val, spy_objective, uniform_rule, cfg)
+        best = mean_objective(best_risks)
         assert best == pytest.approx(min(seen))
         from paretofair.risk import group_risks
 
         final = mean_objective(group_risks(model.forward(val.features), val.targets, val.groups))
         assert final == pytest.approx(best)
 
-    @pytest.mark.parametrize("stratified", [True, False])
-    def test_nan_weight_raises_on_first_minibatch(self, stratified, monkeypatch):
+    @pytest.mark.parametrize("weight_rule", [uniform_rule, None], ids=["stratified", "erm"])
+    def test_nan_weight_raises_on_first_minibatch(self, weight_rule, monkeypatch):
         train = separable_dataset(40, seed=1)
         val = separable_dataset(40, seed=2)
         model = MLPClassifier([1, 3, 2], seed=0)
@@ -487,8 +490,17 @@ class TestSgdEarlyStop:
         monkeypatch.setattr(model_module, "weighted_grad", counting_grad)
         cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=3, patience=3, seed=0)
         with pytest.raises(InputError, match="finite"):
-            sgd_early_stop(model, train, val, objective, uniform_rule, cfg, stratified=stratified)
+            sgd_early_stop(model, train, val, objective, weight_rule, cfg)
         assert steps == [8]
+
+    @pytest.mark.parametrize("weight_rule", [uniform_rule, None], ids=["stratified", "erm"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_objective_names_the_epoch(self, weight_rule, bad):
+        train, val = separable_dataset(40, seed=1), separable_dataset(40, seed=2)
+        objectives = iter([0.5, 0.4, bad])
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=5, patience=5, seed=0)
+        with pytest.raises(InputError, match=f"^the objective is {bad} after epoch 3; it must be finite$"):
+            sgd_early_stop(MLPClassifier([1, 2], seed=0), train, val, lambda r: next(objectives), weight_rule, cfg)
 
 
 def grouped_dataset(n, G, seed):
@@ -544,10 +556,13 @@ class TestStratifiedSgd:
 
         cfg = TrainConfig(lr=0.3, batch_size=batch_size, max_epochs=4, patience=4, seed=11)
         model = MLPClassifier([1, 4, 2], seed=3)
-        model, best_obj, _ = sgd_early_stop(model, train, val, objective, weight_rule, cfg, loss)
+        model, best_risks, _ = sgd_early_stop(model, train, val, objective, weight_rule, cfg, loss)
         ref = MLPClassifier([1, 4, 2], seed=3)
         ref_obj = reference_stratified_sgd(ref, train, val, objective, weight_rule, cfg, loss)
-        assert best_obj == ref_obj
+        assert objective(best_risks) == ref_obj
+        # the returned risks are those of the restored parameters
+        restored = group_risks(model.forward(val.features), val.targets, val.groups, loss)
+        assert best_risks.tobytes() == restored.tobytes()
         for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
             assert np.array_equal(a, b)
 
@@ -565,7 +580,8 @@ class TestStratifiedSgd:
                 return 1.0 + r * np.arange(1, G + 1)
 
             block = _block_weights(rule, G, per, losses)
-            masked = _rule_weights(rule, np.repeat(groups, per), G, losses)
+            rows = np.repeat(groups, per)
+            masked = np.asarray(rule(group_means(losses, rows, G)[0]))[rows]
             assert seen[0].tobytes() == seen[1].tobytes()
             assert block.tobytes() == masked.tobytes()
 

@@ -101,6 +101,7 @@ class TestScenarioFile:
             ("# comment\ngrid_points = many\n", r"bad\.txt:2: grid_points"),
             ("priors = 0.5,x\n", r"bad\.txt:1: priors"),
             ("grid_min = 0.0\ngrid_max\n", r"bad\.txt:2: expected 'key = value'"),
+            ("priors = 0.5,0.5\npriors = 0.9,0.1\n", r"bad\.txt:2: repeated key 'priors'"),
         ],
     )
     def test_errors_name_the_line(self, tmp_path, text, where):

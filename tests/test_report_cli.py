@@ -381,16 +381,38 @@ class TestCliCommands:
         # trainer settings, checked by TrainConfig and PFHyperparams
         ("lr = nan", [], "lr must be finite and positive, got nan"),
         ("max_outer_iters = 0", [], "max_outer_iters must be an integer >= 1, got 0"),
+        # a key set twice names its second line
+        ("lr = 0.1\nlr = 0.5", [], "6: repeated key 'lr'"),
     ])
     def test_train_bad_key_fails_before_any_work(self, scenario_file, tmp_path, capsys, line, flags, message):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"n = 300\nhidden = 4\nmax_epochs = 2\npatience = 1\n{line}\n")
+        # the small-run settings, less the key the row sets: a key may appear once
+        small = {"n": "300", "hidden": "4", "max_epochs": "2", "patience": "1"}
+        key = line.partition("=")[0].strip()
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in small.items() if k != key) + f"{line}\n")
         out = tmp_path / "run"
         argv = ["train", "--config", str(cfg), "--scenario", scenario_file, "--out", str(out), *flags]
         assert cli.main(argv) == 1
-        where = "" if flags else f"{cfg}: "  # a bad value in the file names the file
+        # a bad value in the file names the file, a bad line the file and the line
+        where = "" if flags else f"{cfg}:" if message[0].isdigit() else f"{cfg}: "
         assert capsys.readouterr().err.strip() == f"paretofair train: error: {where}{message}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("priors, missing", [("1.0, 0.0", 1), ("0.0, 1.0", 0)])
+    def test_scenario_draw_missing_a_group_names_the_file(self, priors, missing, tmp_path, capsys):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(f"priors = {priors}\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 300\n")
+        message = f"{scenario}: group {missing} has no samples in a draw of 300"
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == f"paretofair train: error: {message}"
+        assert not (out / "model.ckpt").exists()
+        data = tmp_path / "data.csv"
+        assert cli.main(["synth", "--scenario", str(scenario), "--n", "300", "--out", str(data)]) == 1
+        assert capsys.readouterr().err.strip() == f"paretofair synth: error: {message}"
+        assert not data.exists()
 
     @pytest.mark.parametrize("command", ["synth", "postproc"])
     def test_bad_seed_names_the_key(self, command, scenario_file, small_test_set, tmp_path, capsys):
