@@ -6,7 +6,7 @@ the worst pairwise risk gap and is not dominated by any previously accepted
 risk vector. Rejected steps are dropped, and the next step starts again from
 the best accepted snapshot with a smaller learning rate and multiplier bump.
 ``pareto_fair_optimize`` runs it with weighted SGD on validation risks;
-``oracle.exact_solver`` runs it on a scenario's exact risks.
+``exact_solver`` runs it on a scenario's exact risks.
 """
 
 from __future__ import annotations
@@ -16,12 +16,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from paretofair.data import GroupedDataset, write_table
-from paretofair.model import MLPClassifier, TrainConfig, _check_field, _is_int, sgd_early_stop
-from paretofair.risk import InputError, archive_insert, max_gap
+from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
+from paretofair.oracle import ScenarioSpec, exact_group_risks, scalarized_bayes_predictor
+from paretofair.risk import InputError, _check_field, _is_int, archive_insert, max_gap
 # not called here: bench/selftest.py checks that the bench tracer patches this binding
 from paretofair.risk import group_risks  # noqa: F401
 
 _EPS = 1e-12
+_SOLVER_ITERS = 200  # exact_solver's cap; 13,446 solves on 202 scenarios needed at most 42
 
 
 def _check_mu(mu, shape) -> np.ndarray:
@@ -172,6 +174,31 @@ def pareto_fair_optimize(
     best, trace = outer_loop(solve, model.params.copy(), train.num_groups, hp)
     model.params[...] = best
     return model, trace
+
+
+def exact_solver(spec: ScenarioSpec):
+    """An inner solver for ``outer_loop`` on the exact risks of ``spec``.
+
+    Its snapshots are scalarization vectors lambda. With mu and c fixed,
+    ``adaptive_loss(R(g), mu, c)`` is convex in the tabulated predictor g, so
+    its minimizer is the scalarized Bayes predictor at lambda proportional to
+    ``group_weights(R(g), mu, c)``; the damped fixed point
+    lambda <- (lambda + w / sum w) / 2 finds it. ``lr`` and ``seed`` are unused.
+    """
+
+    def solve(start, mu, c, lr, seed):
+        two_mu = 2.0 * _check_mu(mu, (spec.num_groups,))
+        lam = np.asarray(start, dtype=float)
+        for _ in range(_SOLVER_ITERS):
+            r = exact_group_risks(spec, scalarized_bayes_predictor(spec, lam))
+            w = _weights(r, two_mu, c)
+            step = 0.5 * (w / w.sum() - lam)
+            if np.max(np.abs(step)) <= 1e-13:
+                return lam, r
+            lam = lam + step
+        raise InputError(f"exact solver did not converge in {_SOLVER_ITERS} iterations (mu={mu}, c={c})")
+
+    return solve
 
 
 def write_trace_csv(trace, path):

@@ -3,8 +3,6 @@ post-processing rule that equalizes group accuracies by mixing toward chance."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from paretofair.data import GroupedDataset, write_table
@@ -45,25 +43,12 @@ def train_rebalanced(
     return model
 
 
-@dataclass(frozen=True)
-class RandomizedGroupRule:
-    """Per-group probability of keeping the base decision vs a fair coin flip."""
-
-    keep_prob: np.ndarray
-
-    def __post_init__(self):
-        kp = np.asarray(self.keep_prob, dtype=float)
-        if not np.all((kp >= 0) & (kp <= 1)):  # NaN fails too
-            raise InputError("keep probabilities must lie in [0, 1]")
-        object.__setattr__(self, "keep_prob", kp)
-
-
 class InfeasibleRuleError(ValueError):
     """No coin-flip mixing can reach the target accuracy for some group."""
 
 
-def fit_equalizing_rule(decisions, correct, groups) -> RandomizedGroupRule:
-    """Closed-form rule equalizing expected group accuracies at the minimum.
+def fit_equalizing_rule(decisions, correct, groups) -> np.ndarray:
+    """The rule equalizing expected group accuracies at the minimum: a float64 keep probability per group.
 
     With target t = min_a acc_a, keeping the base decision with probability
     p and flipping a fair coin otherwise gives expected accuracy
@@ -80,31 +65,31 @@ def fit_equalizing_rule(decisions, correct, groups) -> RandomizedGroupRule:
         raise InputError(f"group {int(np.argmin(counts))} has no samples")
     target = float(acc.min())
     if float(acc.max()) - target < 1e-12:
-        return RandomizedGroupRule(keep_prob=np.ones(G))  # already equal
+        return np.ones(G)  # already equal
     if target <= 0.5:
-        worst = int(acc.argmin())
-        raise InfeasibleRuleError(
-            f"group {worst} accuracy {target:.3f} is not above chance; "
-            "coin-flip mixing cannot equalize below 0.5"
-        )
-    keep = np.ones(G)
-    for a in range(G):
-        if abs(acc[a] - target) < 1e-12:
-            continue
-        keep[a] = float(np.clip((target - 0.5) / (acc[a] - 0.5), 0.0, 1.0))
-    return RandomizedGroupRule(keep_prob=keep)
+        raise InfeasibleRuleError(f"group {int(acc.argmin())} accuracy {target:.3f} is not above chance; "
+                                  "coin-flip mixing cannot equalize below 0.5")
+    # every accuracy is at least target > 1/2, so no division by zero
+    return np.where(np.abs(acc - target) < 1e-12, 1.0, np.clip((target - 0.5) / (acc - 0.5), 0.0, 1.0))
 
 
-def apply_rule(rule: RandomizedGroupRule, decisions, groups, seed: int = 0) -> np.ndarray:
+def apply_rule(keep_prob, decisions, groups, seed: int = 0) -> np.ndarray:
     """Per sample: keep the decision with prob keep_prob[a], else a fair coin."""
+    keep_prob = np.asarray(keep_prob, dtype=float)
     decisions = np.asarray(decisions, dtype=int)
     groups = np.asarray(groups, dtype=int)
+    if keep_prob.ndim != 1 or not np.all((keep_prob >= 0) & (keep_prob <= 1)):  # NaN fails too
+        raise InputError("keep probabilities must lie in [0, 1], one per group")
+    if decisions.ndim != 1 or decisions.shape != groups.shape:
+        raise InputError("decisions and groups must be 1-D and of equal length")
+    if groups.min(initial=0) < 0 or groups.max(initial=0) >= len(keep_prob):
+        raise InputError(f"group ids must lie in [0, {len(keep_prob)}), one per keep probability")
     rng = np.random.default_rng(seed)
-    keep = rng.random(decisions.shape[0]) < rule.keep_prob[groups]
+    keep = rng.random(decisions.shape[0]) < keep_prob[groups]
     coin = rng.integers(0, 2, size=decisions.shape[0])
     return np.where(keep, decisions, coin)
 
 
-def save_rule_csv(rule: RandomizedGroupRule, path):
-    write_table(path, ["group", "keep_prob"], [list(range(len(rule.keep_prob))), rule.keep_prob])
+def save_rule_csv(keep_prob, path):
+    write_table(path, ["group", "keep_prob"], [list(range(len(keep_prob))), np.asarray(keep_prob, dtype=float)])
 

@@ -18,10 +18,8 @@ from paretofair import adaptive, baselines, oracle, report
 from paretofair.data import (
     GroupedDataset, _first_empty, _fractions_ok, load_csv, load_key_values, save_csv, split_dataset,
 )
-from paretofair.model import (
-    ACTIVATIONS, MLPClassifier, _check_field, _is_int, load_checkpoint, save_checkpoint,
-)
-from paretofair.risk import LOSSES, InputError, max_gap
+from paretofair.model import ACTIVATIONS, MLPClassifier, load_checkpoint, save_checkpoint
+from paretofair.risk import LOSSES, InputError, _check_field, _is_int, max_gap
 
 METHODS = ("naive", "rebalanced", "paretofair")
 
@@ -75,13 +73,22 @@ def _load_experiment_data(cfg: ExperimentConfig) -> GroupedDataset:
     return _sample_scenario(cfg.scenario, cfg.n, cfg.seed)
 
 
-def _sample_scenario(path, n: int, seed: int) -> GroupedDataset:
-    """``n`` rows drawn from the scenario file ``path``; errors past loading it name it too."""
-    params = oracle.load_scenario(path)  # its errors name the file already
+def _naming(path, fn, *args):
+    """``fn(*args)``, with ``path`` put before the message of an InputError it raises."""
     try:
-        return oracle.sample_dataset(oracle.make_scenario(params), n, seed)
+        return fn(*args)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _load_scenario(path) -> oracle.ScenarioSpec:
+    """The scenario of the file ``path``, built; every error names the file (``load_scenario``'s already do)."""
+    return _naming(path, oracle.make_scenario, oracle.load_scenario(path))
+
+
+def _sample_scenario(path, n: int, seed: int) -> GroupedDataset:
+    """``n`` rows drawn from the scenario file ``path``; every error names the file."""
+    return _naming(path, oracle.sample_dataset, _load_scenario(path), n, seed)
 
 
 def cmd_synth(args) -> int:
@@ -94,8 +101,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params = oracle.load_scenario(args.scenario)
-    spec = oracle.make_scenario(params)
+    spec = _load_scenario(args.scenario)
     front = oracle.trace_front(spec, args.num_lambda)
     os.makedirs(args.out, exist_ok=True)
     front_path = os.path.join(args.out, "front.csv")
@@ -149,20 +155,17 @@ def cmd_postproc(args) -> int:
                          f"{args.checkpoint} takes {model.layer_dims[0]} feature(s), {model.num_classes} class(es)")
     fit_set, holdout = split_dataset(ds, (0.5, 0.5), seed=args.seed)
     decisions = model.decisions(fit_set.features)
-    rule = baselines.fit_equalizing_rule(
-        decisions, (decisions == fit_set.targets).astype(int), fit_set.groups
-    )
+    keep_prob = baselines.fit_equalizing_rule(decisions, (decisions == fit_set.targets).astype(int), fit_set.groups)
     os.makedirs(args.out, exist_ok=True)
-    baselines.save_rule_csv(rule, os.path.join(args.out, "rule.csv"))
+    baselines.save_rule_csv(keep_prob, os.path.join(args.out, "rule.csv"))
     probs = model.forward(holdout.features)
-    base = probs.argmax(axis=1)
-    post = baselines.apply_rule(rule, base, holdout.groups, seed=args.seed)
+    post = baselines.apply_rule(keep_prob, probs.argmax(axis=1), holdout.groups, seed=args.seed)
     pre_metrics = report.compute_metrics(probs, holdout, "pre_rule")
     post_metrics = report.metrics_from_decisions(post, holdout, pre_metrics.brier, "post_rule")
     report.save_metrics_csv(pre_metrics, os.path.join(args.out, "metrics_pre.csv"))
     report.save_metrics_csv(post_metrics, os.path.join(args.out, "metrics_post.csv"))
     print(
-        f"keep probs {np.array2string(rule.keep_prob, precision=4)}; "
+        f"keep probs {np.array2string(keep_prob, precision=4)}; "
         f"holdout accuracies {np.array2string(post_metrics.accuracy, precision=4)}"
     )
     return 0

@@ -14,20 +14,10 @@ from functools import partial
 import numpy as np
 
 from paretofair.data import GroupedDataset
-from paretofair.risk import InputError, _check_targets, _losses_and_grads, group_risks
+from paretofair.risk import InputError, _check_field, _check_targets, _is_int, _losses_and_grads, group_risks
 
 ACTIVATIONS = ("relu", "tanh")
 _CKPT_MAGIC = b"PFCKPT1\n"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_field(obj, name: str, ok: bool, rule: str):
-    """InputError naming the field ``name`` of ``obj`` and its value, unless ``ok``."""
-    if not ok:
-        raise InputError(f"{name} must be {rule}, got {getattr(obj, name)!r}")
 
 
 @dataclass

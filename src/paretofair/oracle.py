@@ -14,13 +14,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from paretofair.adaptive import group_weights
 from paretofair.data import GroupedDataset, load_key_values, write_table
-from paretofair.model import _is_int
-from paretofair.risk import InputError, dominates, max_gap
+from paretofair.risk import InputError, _is_int, dominates, max_gap
 
 _TOL = 1e-9
-_SOLVER_ITERS = 200  # exact_solver's cap; 13,446 solves on 202 scenarios needed at most 42
 
 
 @dataclass(frozen=True)
@@ -145,13 +142,16 @@ def _pointwise_risk(eta_row, g):
 
 
 def exact_group_risks(spec: ScenarioSpec, g) -> np.ndarray:
-    """Exact per-group expected squared loss of the tabulated predictor g, a G-vector."""
+    """Exact per-group expected squared loss of the tabulated predictor g, a G-vector.
+
+    A stack of L tables, shape (L, B), gives L x G: each row the bits of its one-table call.
+    """
     g = np.asarray(g, dtype=float)
-    if g.shape != (spec.num_points,):
+    if g.ndim not in (1, 2) or g.shape[-1] != spec.num_points:
         raise InputError("predictor table does not match the grid")
     if not np.all((g >= 0) & (g <= 1)):  # NaN fails too
         raise InputError("predictor values must lie in [0, 1]")
-    return np.einsum("ab,ab->a", spec.density, _pointwise_risk(spec.eta, g[None, :]))
+    return np.einsum("ab,...ab->...a", spec.density, _pointwise_risk(spec.eta, g[..., None, :]))
 
 
 def bayes_noise(spec: ScenarioSpec) -> np.ndarray:
@@ -163,15 +163,16 @@ def scalarized_bayes_predictor(spec: ScenarioSpec, lam) -> np.ndarray:
     """Pointwise minimizer of sum_a lam_a R_a.
 
     g(x) = sum_a lam_a p(x|a) eta_a(x) / sum_a lam_a p(x|a); grid points with
-    zero weighted density get the uninformative value 0.5.
+    zero weighted density get the uninformative value 0.5. A stack of L
+    lambdas, shape (L, G), gives L tables: each row the bits of its one-lambda call.
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (spec.num_groups,) or not np.all(lam >= 0):  # NaN fails too
-        raise InputError("lambda must be a nonnegative G-vector")
-    if abs(float(lam.sum()) - 1.0) > 1e-9:
+    if lam.ndim not in (1, 2) or lam.shape[-1] != spec.num_groups or not np.all(lam >= 0):  # NaN fails too
+        raise InputError("lambda must be a nonnegative G-vector or a stack of them")
+    if np.any(np.abs(lam.sum(axis=-1) - 1.0) > 1e-9):
         raise InputError("lambda must lie on the simplex")
-    num = np.einsum("a,ab->b", lam, spec.density * spec.eta)
-    den = np.einsum("a,ab->b", lam, spec.density)
+    num = np.einsum("...a,ab->...b", lam, spec.density * spec.eta)
+    den = np.einsum("...a,ab->...b", lam, spec.density)
     return np.where(den > 0, num / np.maximum(den, 1e-300), 0.5)
 
 
@@ -224,9 +225,8 @@ def reference_points(spec: ScenarioSpec, front):
     ``front`` is the traced front of ``spec`` (``trace_front``); the
     Pareto-fair row is its ``pareto_fair_point``, and nothing is traced here.
     """
-    naive = exact_group_risks(spec, scalarized_bayes_predictor(spec, spec.priors))
     uniform = np.full(spec.num_groups, 1.0 / spec.num_groups)
-    rebalanced = exact_group_risks(spec, scalarized_bayes_predictor(spec, uniform))
+    naive, rebalanced = exact_group_risks(spec, scalarized_bayes_predictor(spec, np.stack([spec.priors, uniform])))
     pf = pareto_fair_point(front)[spec.num_groups :]
     return {
         "naive": naive,
@@ -236,30 +236,6 @@ def reference_points(spec: ScenarioSpec, front):
         # to the worst Pareto-fair group risk
         "equality_of_risk": np.full(spec.num_groups, pf.max()),
     }
-
-
-def exact_solver(spec: ScenarioSpec):
-    """An inner solver for ``adaptive.outer_loop`` on the exact risks of ``spec``.
-
-    Its snapshots are scalarization vectors lambda. With mu and c fixed,
-    ``adaptive_loss(R(g), mu, c)`` is convex in the tabulated predictor g, so
-    its minimizer is the scalarized Bayes predictor at lambda proportional to
-    ``group_weights(R(g), mu, c)``; the damped fixed point
-    lambda <- (lambda + w / sum w) / 2 finds it. ``lr`` and ``seed`` are unused.
-    """
-
-    def solve(start, mu, c, lr, seed):
-        lam = np.asarray(start, dtype=float)
-        for _ in range(_SOLVER_ITERS):
-            r = exact_group_risks(spec, scalarized_bayes_predictor(spec, lam))
-            w = group_weights(r, mu, c)
-            step = 0.5 * (w / w.sum() - lam)
-            if np.max(np.abs(step)) <= 1e-13:
-                return lam, r
-            lam = lam + step
-        raise InputError(f"exact solver did not converge in {_SOLVER_ITERS} iterations (mu={mu}, c={c})")
-
-    return solve
 
 
 def sample_dataset(spec: ScenarioSpec, n: int, seed: int = 0) -> GroupedDataset:

@@ -71,8 +71,16 @@ def _parse_metrics_row(row):
 
 
 def load_metrics_csv(path):
-    """Returns (method, group rows dict, summary rows dict); the method is the last row's."""
-    blocks = read_table(path, exact_header(_HEADER, lambda rows: list(map(_parse_metrics_row, rows))))
+    """Returns (method, group rows dict, summary rows dict); every row names the same method."""
+    first = {}  # the first row's method, once a row is parsed
+
+    def parse_row(row):
+        method, name, values = _parse_metrics_row(row)
+        if first.setdefault("method", method) != method:
+            raise ValueError(f"method {method!r} differs from the first row's {first['method']!r}")
+        return method, name, values
+
+    blocks = read_table(path, exact_header(_HEADER, lambda rows: list(map(parse_row, rows))))
     rows = list(chain.from_iterable(blocks))
     repeated = [name for name, count in Counter(name for _method, name, _values in rows).items() if count > 1]
     if repeated:

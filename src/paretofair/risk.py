@@ -12,6 +12,16 @@ class InputError(ValueError):
     """Raised when an operation receives malformed input."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_field(obj, name: str, ok: bool, rule: str):
+    """InputError naming the field ``name`` of ``obj`` and its value, unless ``ok``."""
+    if not ok:
+        raise InputError(f"{name} must be {rule}, got {getattr(obj, name)!r}")
+
+
 def _check_targets(targets, n: int, C: int) -> np.ndarray:
     """``targets`` as n integer class labels in [0, C), or InputError."""
     targets = np.asarray(targets, dtype=int)

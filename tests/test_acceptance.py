@@ -83,16 +83,6 @@ def trained_runs(acceptance_spec):
     return runs
 
 
-def _batch_risks(spec, preds):
-    """Exact group risks for a batch of predictors, rows of ``preds``."""
-    loss0 = 2.0 * preds**2  # brier when the label is 0
-    loss1 = 2.0 * (1.0 - preds) ** 2
-    # risks[k, a] = sum_b density[a, b] * (eta * loss1 + (1 - eta) * loss0)
-    return np.einsum(
-        "ab,kab->ka", spec.density, spec.eta[None] * loss1[:, None] + (1 - spec.eta[None]) * loss0[:, None]
-    )
-
-
 def test_criterion_01_gradient_correctness():
     with criterion(1, budget_seconds=30):
         from test_model import finite_diff_grads, max_rel_err
@@ -190,7 +180,7 @@ def test_criterion_04_oracle_internal_consistency(acceptance_spec, front):
             probes = np.clip(
                 g[None, :] + rng.uniform(-0.2, 0.2, (1000, acceptance_spec.num_points)), 0, 1
             )
-            pr = _batch_risks(acceptance_spec, probes)
+            pr = exact_group_risks(acceptance_spec, probes)
             base = point[2:]
             dominated = np.all(pr <= base + 1e-12, axis=1) & np.any(pr < base - 1e-12, axis=1)
             assert not dominated.any()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from paretofair.adaptive import (
     PFHyperparams,
     adaptive_loss,
+    exact_solver,
     group_weights,
     outer_loop,
     pareto_fair_optimize,
@@ -14,12 +15,11 @@ from paretofair.adaptive import (
 )
 from paretofair.baselines import train_naive
 from paretofair.data import GroupedDataset, split_dataset
-from paretofair import adaptive, oracle
+from paretofair import adaptive
 from paretofair.model import MLPClassifier, TrainConfig
 from paretofair.oracle import (
     ScenarioParams,
     exact_group_risks,
-    exact_solver,
     make_scenario,
     pareto_fair_point,
     sample_dataset,
@@ -429,7 +429,7 @@ class TestExactLoop:
         assert np.median(errs) <= 1e-5
 
     def test_unconverged_solve_raises(self, acceptance_spec, monkeypatch):
-        monkeypatch.setattr(oracle, "_SOLVER_ITERS", 2)
+        monkeypatch.setattr(adaptive, "_SOLVER_ITERS", 2)
         with pytest.raises(InputError, match="did not converge in 2 iterations"):
             exact_solver(acceptance_spec)(acceptance_spec.priors, np.ones(2), 0.0, 0.1, 0)
 

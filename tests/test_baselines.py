@@ -5,7 +5,6 @@ import pytest
 
 from paretofair.baselines import (
     InfeasibleRuleError,
-    RandomizedGroupRule,
     apply_rule,
     fit_equalizing_rule,
     save_rule_csv,
@@ -15,7 +14,7 @@ from paretofair.baselines import (
 from paretofair.data import split_dataset
 from paretofair.model import MLPClassifier, TrainConfig
 from paretofair.oracle import sample_dataset
-from paretofair.risk import InputError, group_risks
+from paretofair.risk import InputError, group_means, group_risks
 
 
 def _risks(model, ds):
@@ -62,14 +61,14 @@ class TestFitRule:
         groups = np.r_[np.zeros(n, dtype=int), np.ones(n, dtype=int)]
         correct = np.r_[np.ones(9), np.zeros(1), np.ones(7), np.zeros(3)].astype(int)
         rule = fit_equalizing_rule(np.zeros(2 * n, dtype=int), correct, groups)
-        assert np.allclose(rule.keep_prob, [0.5, 1.0])
+        assert np.allclose(rule, [0.5, 1.0])
 
     def test_three_group_closed_form(self):
         # accuracies 0.9, 0.6, 0.75: target 0.6, keep = 0.1 / (acc - 0.5)
         groups = np.repeat([0, 1, 2], 20)
         correct = np.r_[np.ones(18), np.zeros(2), np.ones(12), np.zeros(8), np.ones(15), np.zeros(5)].astype(int)
         rule = fit_equalizing_rule(np.zeros(60, dtype=int), correct, groups)
-        assert np.allclose(rule.keep_prob, [0.25, 1.0, 0.4])
+        assert np.allclose(rule, [0.25, 1.0, 0.4])
 
     def test_missing_group_rejected(self):
         with pytest.raises(InputError, match="group 1"):
@@ -79,7 +78,7 @@ class TestFitRule:
         groups = np.array([0, 0, 1, 1])
         correct = np.array([1, 0, 1, 0])
         rule = fit_equalizing_rule(np.zeros(4, dtype=int), correct, groups)
-        assert np.allclose(rule.keep_prob, 1.0)
+        assert np.allclose(rule, 1.0)
 
     def test_below_chance_group_infeasible(self):
         groups = np.r_[np.zeros(10, dtype=int), np.ones(10, dtype=int)]
@@ -106,16 +105,33 @@ class TestFitRule:
         with pytest.raises(InputError):
             fit_equalizing_rule([0, 1], [1], [0, 1])
 
+    def test_same_bits_as_the_per_group_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            G = int(rng.integers(1, 5))
+            groups = np.r_[np.arange(G), rng.integers(0, G, 40)]
+            correct = (rng.random(len(groups)) < rng.uniform(0.5, 1.0, G)[groups]).astype(int)
+            acc, _ = group_means(correct, groups, G)
+            target, equal = acc.min(), acc.max() - acc.min() < 1e-12
+            if target <= 0.5 and not equal:
+                continue  # infeasible
+            expected = np.ones(G)
+            for a in range(G):
+                if not equal and abs(acc[a] - target) >= 1e-12:
+                    expected[a] = float(np.clip((target - 0.5) / (acc[a] - 0.5), 0.0, 1.0))
+            got = fit_equalizing_rule(np.zeros(len(groups), dtype=int), correct, groups)
+            assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+
 
 class TestApplyRule:
     def test_keep_all_is_identity(self):
         decisions = np.array([0, 1, 1, 0])
-        rule = RandomizedGroupRule(keep_prob=np.array([1.0, 1.0]))
+        rule = np.array([1.0, 1.0])
         out = apply_rule(rule, decisions, np.array([0, 0, 1, 1]), seed=3)
         assert np.array_equal(out, decisions)
 
     def test_keep_none_is_fair_coin(self):
-        rule = RandomizedGroupRule(keep_prob=np.array([0.0]))
+        rule = np.array([0.0])
         out = apply_rule(rule, np.zeros(20_000, dtype=int), np.zeros(20_000, dtype=int), seed=4)
         assert abs(out.mean() - 0.5) < 0.02
 
@@ -123,7 +139,7 @@ class TestApplyRule:
         rng = np.random.default_rng(5)
         decisions = rng.integers(0, 2, 100)
         groups = rng.integers(0, 2, 100)
-        rule = RandomizedGroupRule(keep_prob=np.array([0.6, 0.3]))
+        rule = np.array([0.6, 0.3])
         a = apply_rule(rule, decisions, groups, seed=6)
         b = apply_rule(rule, decisions, groups, seed=6)
         assert np.array_equal(a, b)
@@ -131,15 +147,32 @@ class TestApplyRule:
     def test_invalid_keep_prob(self):
         for keep_prob in (1.2, -0.1, float("nan")):
             with pytest.raises(InputError, match=r"keep probabilities must lie in \[0, 1\]"):
-                RandomizedGroupRule(keep_prob=np.array([keep_prob]))
+                apply_rule(np.array([keep_prob]), [0], [0])
+
+    @pytest.mark.parametrize(
+        "keep_prob, decisions, groups, message",
+        [
+            # one group id for three decisions would broadcast
+            ([1.0, 0.0], [0, 1, 1], [0], "1-D and of equal length"),
+            ([1.0, 0.0], [0, 1], [0, 1, 1], "1-D and of equal length"),
+            ([1.0, 0.0], [[0, 1]], [[0, 1]], "1-D and of equal length"),
+            # -1 would index the last group
+            ([1.0, 0.0], [0, 1], [0, -1], r"group ids must lie in \[0, 2\)"),
+            ([1.0, 0.0], [0, 1], [0, 2], r"group ids must lie in \[0, 2\)"),
+            ([[1.0, 0.0]], [0, 1], [0, 0], r"keep probabilities must lie in \[0, 1\], one per group"),
+        ],
+    )
+    def test_malformed_inputs_raise_input_error(self, keep_prob, decisions, groups, message):
+        with pytest.raises(InputError, match=message):
+            apply_rule(keep_prob, decisions, groups, seed=0)
 
 
 class TestRuleCsv:
     def test_round_trip(self, tmp_path):
-        rule = RandomizedGroupRule(keep_prob=np.array([0.123456789012345, 1.0]))
+        rule = np.array([0.123456789012345, 1.0])
         path = tmp_path / "rule.csv"
         save_rule_csv(rule, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["group", "keep_prob"], ["0", "0.123456789012345"], ["1", "1.0"]]
-        assert np.array_equal([float(kp) for _, kp in rows[1:]], rule.keep_prob)
+        assert np.array_equal([float(kp) for _, kp in rows[1:]], rule)

@@ -158,7 +158,16 @@ def reference_load_csv(path):
 
 def reference_load_metrics_csv(path):
     """load_metrics_csv over the per-row reader."""
-    rows = reference_read_table(path, exact_header(_HEADER, _parse_metrics_row))
+    methods = []  # of every row parsed
+
+    def parse_row(row):
+        parsed = _parse_metrics_row(row)
+        methods.append(parsed[0])
+        if methods[-1] != methods[0]:
+            raise ValueError(f"method {methods[-1]!r} differs from the first row's {methods[0]!r}")
+        return parsed
+
+    rows = reference_read_table(path, exact_header(_HEADER, parse_row))
     names = [name for _method, name, _values in rows]
     for name in names:
         if names.count(name) > 1:
@@ -216,7 +225,7 @@ GOOD = b"0.5,1,0\n"
     [
         # a quoted cell over lines 2-4 that parses, then a bad cell on line 5
         (*DATASET, b'"\n0.5\n",1,0\n0.5,x,0\n', "5: invalid literal for int"),
-        (*METRICS, b'"a\nb",g0,0.5,0.5,0.5,3\nx,g1,y,0,0,0\n', "5: could not convert"),
+        (*METRICS, b'x,"a\nb",0.5,0.5,0.5,3\nx,g1,y,0,0,0\n', "5: could not convert"),
         (*DATASET, GOOD + b"\n" + GOOD, "3: expected 3 fields, got 0"),
         # more than one block, the bad cell in the last one
         (*DATASET, GOOD * (2 * _BLOCK_ROWS + 3) + b"0.5,1,z\n", f"{2 * _BLOCK_ROWS + 5}: invalid"),

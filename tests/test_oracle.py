@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import paretofair
 from paretofair import cli, oracle
 from paretofair.data import split_dataset
 from paretofair.oracle import (
@@ -259,6 +264,62 @@ class TestScalarization:
             pert[i] = np.clip(pert[i] + rng.choice([-0.05, 0.05]), 0, 1)
             val = float(lam @ exact_group_risks(acceptance_spec, pert))
             assert val >= base - 1e-12
+
+
+@st.composite
+def scenarios_and_lambdas(draw):
+    """A valid two- or three-group scenario and a stack of 1-40 simplex rows."""
+    G = draw(st.sampled_from([2, 3]))
+
+    def per_group(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=G, max_size=G)))
+
+    priors = per_group(0.05, 1.0)
+    params = ScenarioParams(
+        priors=tuple(priors / priors.sum()),
+        rho_low=tuple(per_group(0.0, 0.45)),
+        rho_high=tuple(per_group(0.55, 1.0)),
+        transition_center=draw(st.floats(0.3, 0.7)),
+        transition_delta=draw(st.floats(0.0, 0.2)),
+        density_centers=tuple(per_group(0.1, 0.9)),
+        density_widths=tuple(per_group(0.02, 0.3)),
+        grid_points=draw(st.integers(2, 200)),
+    )
+    # rows with zero entries reach the simplex's faces and vertices
+    weights = st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=G, max_size=G)
+    rows = draw(st.lists(weights.filter(lambda w: sum(w) > 0), min_size=1, max_size=40))
+    lams = np.array(rows)
+    return make_scenario(params), lams / lams.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios_and_lambdas())
+def test_each_batched_row_has_the_bits_of_its_one_row_call(case):
+    spec, lams = case
+    tables = scalarized_bayes_predictor(spec, lams)
+    risks = exact_group_risks(spec, tables)
+    assert tables.shape == (len(lams), spec.num_points)
+    assert risks.shape == (len(lams), spec.num_groups)
+    for lam, g, r in zip(lams, tables, risks):
+        one = scalarized_bayes_predictor(spec, lam)
+        assert one.tobytes() == g.tobytes()
+        assert exact_group_risks(spec, one).tobytes() == r.tobytes()
+    with pytest.raises(InputError, match="lambda must be a nonnegative G-vector or a stack"):
+        scalarized_bayes_predictor(spec, lams[None])
+    with pytest.raises(InputError, match="predictor table does not match the grid"):
+        exact_group_risks(spec, tables[None])
+    off = lams.copy()
+    off[-1] *= 1.5
+    with pytest.raises(InputError, match="lambda must lie on the simplex"):
+        scalarized_bayes_predictor(spec, off)
+
+
+def test_importing_the_oracle_loads_neither_the_trainer_nor_the_outer_loop():
+    code = "import sys, paretofair.oracle; print(sorted(m for m in sys.modules if m.startswith('paretofair')))"
+    src = os.path.dirname(os.path.dirname(paretofair.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str(["paretofair", "paretofair.data", "paretofair.oracle", "paretofair.risk"])
 
 
 class TestFront:

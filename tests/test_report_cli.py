@@ -94,6 +94,9 @@ class TestMetricsCsv:
              r"m\.csv: repeated row g0$"),
             (METRICS_HEAD + "x,g0,0.5,0.9,0.1,10\n" + SUMMARY + "x,__discrepancy,,0.1,0.1,\n",
              r"m\.csv: repeated row __discrepancy$"),
+            # the combined table would label every column with the last row's method
+            (METRICS_HEAD + "x,g0,0.5,0.9,0.1,10\nx,g1,0.5,0.8,0.2,10\npf,g2,0.5,0.8,0.2,10\n" + SUMMARY,
+             r"m\.csv:4: method 'pf' differs from the first row's 'x'$"),
         ],
     )
     def test_malformed_files_name_the_path(self, tmp_path, text, message):
@@ -413,6 +416,21 @@ class TestCliCommands:
         assert cli.main(["synth", "--scenario", str(scenario), "--n", "300", "--out", str(data)]) == 1
         assert capsys.readouterr().err.strip() == f"paretofair synth: error: {message}"
         assert not data.exists()
+
+    @pytest.mark.parametrize("command", ["oracle", "synth", "train"])
+    def test_scenario_that_does_not_build_names_the_file(self, command, tmp_path, capsys):
+        scenario = tmp_path / "one.txt"
+        scenario.write_text("priors = 1.0\n")
+        out = tmp_path / "out"
+        argv = {
+            "oracle": ["oracle", "--scenario", str(scenario), "--out", str(out)],
+            "synth": ["synth", "--scenario", str(scenario), "--out", str(out / "data.csv")],
+            "train": ["train", "--scenario", str(scenario), "--out", str(out)],
+        }[command]
+        assert cli.main(argv) == 1
+        message = f"{scenario}: rho_low has 2 entries, but priors has 1"
+        assert capsys.readouterr().err.strip() == f"paretofair {command}: error: {message}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "postproc"])
     def test_bad_seed_names_the_key(self, command, scenario_file, small_test_set, tmp_path, capsys):
