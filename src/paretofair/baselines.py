@@ -7,7 +7,7 @@ import numpy as np
 
 from paretofair.data import GroupedDataset, write_table
 from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
-from paretofair.risk import InputError, group_means
+from paretofair.risk import InputError, _dense_groups, _labels, group_means
 
 
 def train_naive(
@@ -47,22 +47,18 @@ class InfeasibleRuleError(ValueError):
     """No coin-flip mixing can reach the target accuracy for some group."""
 
 
-def fit_equalizing_rule(decisions, correct, groups) -> np.ndarray:
+def fit_equalizing_rule(correct, groups) -> np.ndarray:
     """The rule equalizing expected group accuracies at the minimum: a float64 keep probability per group.
 
-    With target t = min_a acc_a, keeping the base decision with probability
-    p and flipping a fair coin otherwise gives expected accuracy
+    ``correct`` holds 1 where a sample's base decision is right and 0 where
+    it is wrong. With target t = min_a acc_a, keeping the base decision with
+    probability p and flipping a fair coin otherwise gives expected accuracy
     p * acc_a + (1 - p) / 2, so p_a = (t - 1/2) / (acc_a - 1/2).
     """
-    decisions = np.asarray(decisions, dtype=int)
-    correct = np.asarray(correct, dtype=int)
-    groups = np.asarray(groups, dtype=int)
-    if not (decisions.shape == correct.shape == groups.shape):
-        raise InputError("decisions, correct and groups must have equal length")
+    correct = _labels(correct, "correct", bound=2)
+    groups = _dense_groups(groups, len(correct))
     G = int(groups.max()) + 1
-    acc, counts = group_means(correct, groups, G)
-    if np.any(counts == 0):
-        raise InputError(f"group {int(np.argmin(counts))} has no samples")
+    acc, _ = group_means(correct, groups, G)
     target = float(acc.min())
     if float(acc.max()) - target < 1e-12:
         return np.ones(G)  # already equal
@@ -76,14 +72,10 @@ def fit_equalizing_rule(decisions, correct, groups) -> np.ndarray:
 def apply_rule(keep_prob, decisions, groups, seed: int = 0) -> np.ndarray:
     """Per sample: keep the decision with prob keep_prob[a], else a fair coin."""
     keep_prob = np.asarray(keep_prob, dtype=float)
-    decisions = np.asarray(decisions, dtype=int)
-    groups = np.asarray(groups, dtype=int)
     if keep_prob.ndim != 1 or not np.all((keep_prob >= 0) & (keep_prob <= 1)):  # NaN fails too
         raise InputError("keep probabilities must lie in [0, 1], one per group")
-    if decisions.ndim != 1 or decisions.shape != groups.shape:
-        raise InputError("decisions and groups must be 1-D and of equal length")
-    if groups.min(initial=0) < 0 or groups.max(initial=0) >= len(keep_prob):
-        raise InputError(f"group ids must lie in [0, {len(keep_prob)}), one per keep probability")
+    decisions = _labels(decisions, "decisions")
+    groups = _labels(groups, "groups", len(decisions), len(keep_prob))
     rng = np.random.default_rng(seed)
     keep = rng.random(decisions.shape[0]) < keep_prob[groups]
     coin = rng.integers(0, 2, size=decisions.shape[0])

@@ -15,11 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from paretofair import adaptive, baselines, oracle, report
-from paretofair.data import (
-    GroupedDataset, _first_empty, _fractions_ok, load_csv, load_key_values, save_csv, split_dataset,
-)
+from paretofair.data import GroupedDataset, _fractions_ok, load_csv, load_key_values, save_csv, split_dataset
 from paretofair.model import ACTIVATIONS, MLPClassifier, load_checkpoint, save_checkpoint
-from paretofair.risk import LOSSES, InputError, _check_field, _is_int, max_gap
+from paretofair.risk import LOSSES, InputError, _check_field, _first_empty, _is_int, max_gap
 
 METHODS = ("naive", "rebalanced", "paretofair")
 
@@ -155,7 +153,7 @@ def cmd_postproc(args) -> int:
                          f"{args.checkpoint} takes {model.layer_dims[0]} feature(s), {model.num_classes} class(es)")
     fit_set, holdout = split_dataset(ds, (0.5, 0.5), seed=args.seed)
     decisions = model.decisions(fit_set.features)
-    keep_prob = baselines.fit_equalizing_rule(decisions, (decisions == fit_set.targets).astype(int), fit_set.groups)
+    keep_prob = baselines.fit_equalizing_rule(decisions == fit_set.targets, fit_set.groups)
     os.makedirs(args.out, exist_ok=True)
     baselines.save_rule_csv(keep_prob, os.path.join(args.out, "rule.csv"))
     probs = model.forward(holdout.features)

@@ -9,7 +9,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from paretofair.risk import InputError
+from paretofair.risk import InputError, _dense_groups, _labels
 
 
 @dataclass(frozen=True)
@@ -22,18 +22,12 @@ class GroupedDataset:
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=float)
-        y = _labels(self.targets, "targets")
-        a = _labels(self.groups, "groups")
         if X.ndim != 2 or X.shape[0] < 1:
             raise InputError("features must be a nonempty n x d matrix")
-        n = X.shape[0]
-        if y.shape != (n,) or a.shape != (n,):
-            raise InputError("targets and groups must have length n")
         if not np.all(np.isfinite(X)):
             raise InputError("features contain non-finite values")
-        missing = _first_empty(a)
-        if missing is not None:
-            raise InputError(f"group {missing} has no samples")
+        y = _labels(self.targets, "targets", X.shape[0])
+        a = _dense_groups(self.groups, X.shape[0])
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "targets", y)
         object.__setattr__(self, "groups", a)
@@ -60,31 +54,6 @@ class GroupedDataset:
             targets=self.targets[idx],
             groups=self.groups[idx],
         )
-
-    def group_ratios(self) -> np.ndarray:
-        counts = np.bincount(self.groups, minlength=self.num_groups)
-        return counts / counts.sum()
-
-
-def _labels(values, name):
-    """``values`` as int labels: each must be a whole number in [0, 2**53)."""
-    # float64 holds every whole number below 2**53 exactly, so the int copy is exact
-    message = f"{name} must be whole numbers in [0, 2**53)"
-    try:
-        f = np.asarray(values, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        raise InputError(message) from None
-    if not np.all((f >= 0) & (f < 2.0**53) & (f == np.floor(f))):
-        raise InputError(message)
-    return f.astype(int)
-
-
-def _first_empty(labels):
-    """The smallest label in 0..max(labels) that no entry holds, or None."""
-    # n entries fill at most n labels, so labels clipped at n still show the
-    # first empty one, and a huge label cannot make a huge count array
-    present = np.bincount(np.minimum(labels, len(labels)))
-    return int(np.argmin(present)) if np.any(present == 0) else None
 
 
 def write_table(path, header, columns):

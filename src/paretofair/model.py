@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from paretofair.data import GroupedDataset
-from paretofair.risk import InputError, _check_field, _check_targets, _is_int, _losses_and_grads, group_risks
+from paretofair.risk import InputError, _check_field, _is_int, _labels, _losses_and_grads, group_risks
 
 ACTIVATIONS = ("relu", "tanh")
 _CKPT_MAGIC = b"PFCKPT1\n"
@@ -146,7 +146,7 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
     """
     X = model._check_input(X)
     n = X.shape[0]
-    targets = _check_targets(targets, n, model.num_classes)
+    targets = _labels(targets, "targets", n, model.num_classes)
     hs = []
     probs = model._forward_cached(X, hs)
     losses, dl_dp = _losses_and_grads(probs, targets, loss)

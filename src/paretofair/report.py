@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 
 from paretofair.data import GroupedDataset, exact_header, read_table, write_table
-from paretofair.risk import InputError, group_means, group_risks, metric_summary
+from paretofair.risk import InputError, _labels, group_means, group_risks, metric_summary
 
 SUMMARY_ROWS = ("__sample_mean", "__group_mean", "__discrepancy")
 _HEADER = ["method", "group", "ratio", "accuracy", "brier", "n"]
@@ -41,11 +41,11 @@ def compute_metrics(probs, test: GroupedDataset, method: str) -> MethodMetrics:
 
 def metrics_from_decisions(decisions, test: GroupedDataset, brier, method: str) -> MethodMetrics:
     """Metrics where decisions come from a (possibly randomized) rule."""
-    decisions = np.asarray(decisions, dtype=int)
+    decisions = _labels(decisions, "decisions", test.n)
     acc, counts = group_means(decisions == test.targets, test.groups, test.num_groups)
     return MethodMetrics(
         method=method,
-        ratios=test.group_ratios(),
+        ratios=counts / counts.sum(),
         accuracy=acc,
         brier=np.asarray(brier, dtype=float),
         counts=counts,

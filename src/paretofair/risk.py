@@ -22,14 +22,50 @@ def _check_field(obj, name: str, ok: bool, rule: str):
         raise InputError(f"{name} must be {rule}, got {getattr(obj, name)!r}")
 
 
-def _check_targets(targets, n: int, C: int) -> np.ndarray:
-    """``targets`` as n integer class labels in [0, C), or InputError."""
-    targets = np.asarray(targets, dtype=int)
-    if targets.shape != (n,):
-        raise InputError("targets length does not match the number of rows")
-    if targets.min(initial=0) < 0 or targets.max(initial=0) >= C:
-        raise InputError("target label out of range")
-    return targets
+def _labels(values, name: str, n: int | None = None, bound: int = 2**53) -> np.ndarray:
+    """``values`` as a 1-D int array of labels: whole numbers in [0, bound), n of them when n is given.
+
+    The one rule for every target, group id and decision array; a value or a
+    shape that breaks it raises InputError naming ``name``. ``bound`` is at
+    most 2**53, below which float64 holds every whole number exactly.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        labels = values  # already whole numbers; the range check below covers them
+    else:
+        try:
+            f = np.asarray(values, dtype=float)
+        except (OverflowError, TypeError, ValueError):  # an int beyond the float range, or not a number
+            raise _label_error(name, bound) from None
+        if not np.all((f >= 0) & (f < 2.0**53) & (f == np.floor(f))):
+            raise _label_error(name, bound)
+        labels = f.astype(int)
+    if labels.ndim != 1 or n not in (None, len(labels)):
+        raise InputError(f"{name} must be a 1-D array of {'n' if n is None else n} labels, got shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= bound):
+        raise _label_error(name, bound)
+    return labels.astype(int, copy=False)
+
+
+def _label_error(name: str, bound: int) -> InputError:
+    # built only on failure: the training step checks the labels of every minibatch
+    return InputError(f"{name} must be whole numbers in [0, {'2**53' if bound == 2**53 else bound})")
+
+
+def _first_empty(labels):
+    """The smallest label in 0..max(labels) that no entry holds (0 when there are none), or None."""
+    # n entries fill at most n labels, so labels clipped at n still show the
+    # first empty one, and a huge label cannot make a huge count array
+    present = np.bincount(np.minimum(labels, len(labels)), minlength=1)
+    return int(np.argmin(present)) if np.any(present == 0) else None
+
+
+def _dense_groups(groups, n: int) -> np.ndarray:
+    """``groups`` as n labels in which every id 0..max(groups) is present, or InputError."""
+    groups = _labels(groups, "groups", n)
+    missing = _first_empty(groups)
+    if missing is not None:
+        raise InputError(f"group {missing} has no samples")
+    return groups
 
 
 def _losses_and_grads(probs: np.ndarray, targets: np.ndarray, loss: str):
@@ -66,16 +102,17 @@ def sample_losses(probs: np.ndarray, targets: np.ndarray, loss: str = "brier") -
     """Per-sample losses, one of ``LOSSES``, for an n x C probability matrix and n target labels."""
     probs = np.asarray(probs, dtype=float)
     n, C = probs.shape
-    return _losses_and_grads(probs, _check_targets(targets, n, C), loss)[0]
+    return _losses_and_grads(probs, _labels(targets, "targets", n, C), loss)[0]
 
 
 def group_means(values, groups, num_groups: int):
     """Mean of ``values`` per group id 0..num_groups-1, and the sample counts.
 
-    Returns (means, counts); an empty group gets mean 0 and count 0.
+    ``groups`` holds one id in [0, num_groups) per value. Returns (means,
+    counts); an empty group gets mean 0 and count 0.
     """
     values = np.asarray(values, dtype=float)
-    groups = np.asarray(groups, dtype=int)
+    groups = _labels(groups, "groups", len(values), num_groups)
     means = np.zeros(num_groups)
     counts = np.zeros(num_groups, dtype=int)
     for a in range(num_groups):
@@ -88,14 +125,9 @@ def group_means(values, groups, num_groups: int):
 
 def group_risks(probs: np.ndarray, targets, groups, loss: str = "brier") -> np.ndarray:
     """Mean loss per group, a float array of length G; every group id up to max(groups) must be present."""
-    groups = np.asarray(groups, dtype=int)
     losses = sample_losses(probs, targets, loss)
-    if groups.shape != losses.shape:
-        raise InputError("groups length does not match probability rows")
-    risks, counts = group_means(losses, groups, int(groups.max()) + 1)
-    if np.any(counts == 0):
-        raise InputError(f"group {int(np.argmin(counts))} has no samples; cannot estimate its risk")
-    return risks
+    groups = _dense_groups(groups, len(losses))
+    return group_means(losses, groups, int(groups.max()) + 1)[0]
 
 
 def max_gap(r) -> float:

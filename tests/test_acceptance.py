@@ -262,7 +262,7 @@ def test_criterion_10_postprocessing_equalizes(trained_runs):
         run = trained_runs[0]
         model, val, test = run["pf"], run["val"], run["test"]
         fit_dec = model.decisions(val.features)
-        rule = fit_equalizing_rule(fit_dec, (fit_dec == val.targets).astype(int), val.groups)
+        rule = fit_equalizing_rule(fit_dec == val.targets, val.groups)
 
         base = model.decisions(test.features)
         post = apply_rule(rule, base, test.groups, seed=0)

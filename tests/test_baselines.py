@@ -60,31 +60,31 @@ class TestFitRule:
         n = 10
         groups = np.r_[np.zeros(n, dtype=int), np.ones(n, dtype=int)]
         correct = np.r_[np.ones(9), np.zeros(1), np.ones(7), np.zeros(3)].astype(int)
-        rule = fit_equalizing_rule(np.zeros(2 * n, dtype=int), correct, groups)
+        rule = fit_equalizing_rule(correct, groups)
         assert np.allclose(rule, [0.5, 1.0])
 
     def test_three_group_closed_form(self):
         # accuracies 0.9, 0.6, 0.75: target 0.6, keep = 0.1 / (acc - 0.5)
         groups = np.repeat([0, 1, 2], 20)
         correct = np.r_[np.ones(18), np.zeros(2), np.ones(12), np.zeros(8), np.ones(15), np.zeros(5)].astype(int)
-        rule = fit_equalizing_rule(np.zeros(60, dtype=int), correct, groups)
+        rule = fit_equalizing_rule(correct, groups)
         assert np.allclose(rule, [0.25, 1.0, 0.4])
 
     def test_missing_group_rejected(self):
         with pytest.raises(InputError, match="group 1"):
-            fit_equalizing_rule([0, 0], [1, 0], [0, 2])
+            fit_equalizing_rule([1, 0], [0, 2])
 
     def test_equal_accuracies_keep_everything(self):
         groups = np.array([0, 0, 1, 1])
         correct = np.array([1, 0, 1, 0])
-        rule = fit_equalizing_rule(np.zeros(4, dtype=int), correct, groups)
+        rule = fit_equalizing_rule(correct, groups)
         assert np.allclose(rule, 1.0)
 
     def test_below_chance_group_infeasible(self):
         groups = np.r_[np.zeros(10, dtype=int), np.ones(10, dtype=int)]
         correct = np.r_[np.ones(9), np.zeros(1), np.ones(3), np.zeros(7)].astype(int)
         with pytest.raises(InfeasibleRuleError):
-            fit_equalizing_rule(np.zeros(20, dtype=int), correct, groups)
+            fit_equalizing_rule(correct, groups)
 
     def test_monte_carlo_equalizes(self):
         rng = np.random.default_rng(0)
@@ -94,7 +94,7 @@ class TestFitRule:
         decisions = rng.integers(0, 2, n)
         correct = (rng.random(n) < acc_by_group[groups]).astype(int)
         targets = np.where(correct == 1, decisions, 1 - decisions)
-        rule = fit_equalizing_rule(decisions, correct, groups)
+        rule = fit_equalizing_rule(correct, groups)
         post = apply_rule(rule, decisions, groups, seed=1)
         for a in range(2):
             mask = groups == a
@@ -103,7 +103,7 @@ class TestFitRule:
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
-            fit_equalizing_rule([0, 1], [1], [0, 1])
+            fit_equalizing_rule([1], [0, 1])
 
     def test_same_bits_as_the_per_group_loop(self):
         rng = np.random.default_rng(8)
@@ -119,7 +119,7 @@ class TestFitRule:
             for a in range(G):
                 if not equal and abs(acc[a] - target) >= 1e-12:
                     expected[a] = float(np.clip((target - 0.5) / (acc[a] - 0.5), 0.0, 1.0))
-            got = fit_equalizing_rule(np.zeros(len(groups), dtype=int), correct, groups)
+            got = fit_equalizing_rule(correct, groups)
             assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
 
 
@@ -153,12 +153,12 @@ class TestApplyRule:
         "keep_prob, decisions, groups, message",
         [
             # one group id for three decisions would broadcast
-            ([1.0, 0.0], [0, 1, 1], [0], "1-D and of equal length"),
-            ([1.0, 0.0], [0, 1], [0, 1, 1], "1-D and of equal length"),
-            ([1.0, 0.0], [[0, 1]], [[0, 1]], "1-D and of equal length"),
+            ([1.0, 0.0], [0, 1, 1], [0], "groups must be a 1-D array of 3 labels"),
+            ([1.0, 0.0], [0, 1], [0, 1, 1], "groups must be a 1-D array of 2 labels"),
+            ([1.0, 0.0], [[0, 1]], [[0, 1]], "decisions must be a 1-D array"),
             # -1 would index the last group
-            ([1.0, 0.0], [0, 1], [0, -1], r"group ids must lie in \[0, 2\)"),
-            ([1.0, 0.0], [0, 1], [0, 2], r"group ids must lie in \[0, 2\)"),
+            ([1.0, 0.0], [0, 1], [0, -1], r"groups must be whole numbers in \[0, 2\)"),
+            ([1.0, 0.0], [0, 1], [0, 2], r"groups must be whole numbers in \[0, 2\)"),
             ([[1.0, 0.0]], [0, 1], [0, 0], r"keep probabilities must lie in \[0, 1\], one per group"),
         ],
     )

@@ -5,6 +5,7 @@ import pytest
 
 from paretofair.data import GroupedDataset, load_csv, save_csv, split_dataset
 from paretofair.oracle import ScenarioParams, make_scenario, sample_dataset
+from paretofair.report import metrics_from_decisions
 from paretofair.risk import InputError
 
 
@@ -56,8 +57,12 @@ class TestGroupedDataset:
             GroupedDataset(features=[[1.0], [2.0]], targets=[0], groups=[0, 0])
 
     def test_ratios(self):
-        ds = small_dataset(n=10)
-        assert np.allclose(ds.group_ratios(), [0.5, 0.5])
+        # the reported group shares are the counts over n, with those bits
+        for n, shares in [(10, [0.5, 0.5]), (7, [3 / 7, 4 / 7])]:
+            ds = small_dataset(n=n)
+            ratios = metrics_from_decisions(np.zeros(n, dtype=int), ds, [0.0, 0.0], "m").ratios
+            assert ratios.tobytes() == (np.bincount(ds.groups) / n).tobytes()
+            assert np.allclose(ratios, shares)
 
 
 class TestCsvRoundTrip:

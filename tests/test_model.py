@@ -203,9 +203,9 @@ class TestWeightedGrad:
     @pytest.mark.parametrize(
         "X, targets, weights, message",
         [
-            ([[1.0, 2.0]], [-1], [1.0], "target label out of range"),
-            ([[1.0, 2.0]], [2], [1.0], "target label out of range"),
-            ([[1.0, 2.0], [0.5, 0.0]], [1], [1.0, 1.0], "targets length"),
+            ([[1.0, 2.0]], [-1], [1.0], r"targets must be whole numbers in \[0, 2\)"),
+            ([[1.0, 2.0]], [2], [1.0], r"targets must be whole numbers in \[0, 2\)"),
+            ([[1.0, 2.0], [0.5, 0.0]], [1], [1.0, 1.0], "targets must be a 1-D array of 2 labels"),
             ([[1.0, 2.0]], [0], [1.0, 1.0], "one per row"),
             ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, np.nan], "finite"),
             ([[1.0, 2.0]], [0], [np.inf], "finite"),

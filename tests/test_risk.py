@@ -3,6 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paretofair import risk
+from paretofair.baselines import apply_rule, fit_equalizing_rule
+from paretofair.data import GroupedDataset
+from paretofair.model import MLPClassifier, weighted_grad
+from paretofair.report import metrics_from_decisions
 from paretofair.risk import (
     CLAMP,
     LOSSES,
@@ -98,6 +102,106 @@ class TestLossesAndGrads:
     def test_unknown_loss(self):
         with pytest.raises(InputError, match="unknown loss 'hinge'"):
             sample_losses(np.full((2, 2), 0.5), [0, 1], "hinge")
+
+
+def reference_labels(values, name):
+    """The label rule as ``data._labels`` wrote it before it moved to ``risk``, kept verbatim as the reference."""
+    # float64 holds every whole number below 2**53 exactly, so the int copy is exact
+    message = f"{name} must be whole numbers in [0, 2**53)"
+    try:
+        f = np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise InputError(message) from None
+    if not np.all((f >= 0) & (f < 2.0**53) & (f == np.floor(f))):
+        raise InputError(message)
+    return f.astype(int)
+
+
+LABEL_VALUES = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**64, -(2**63), -0.0, 2.0**53]),
+    st.integers(2**63, 2**1100),  # past int64, and past the float range
+    st.floats(),  # fractions, NaN, +-inf, -0.0
+    st.booleans(),
+)
+SMALL_INTS = st.lists(st.integers(-3, 40), max_size=6)
+# lists, the arrays numpy infers from them (int64, uint64, float64, object), and arrays of fixed dtypes
+LABEL_ARRAYS = st.one_of(
+    st.lists(LABEL_VALUES, max_size=6),
+    st.lists(LABEL_VALUES, max_size=6).map(np.array),
+    st.tuples(SMALL_INTS, st.sampled_from([np.int64, np.int32, np.uint8, np.uint64, np.float64, bool])).map(
+        lambda xs_t: np.array(xs_t[0]).astype(xs_t[1])
+    ),
+)
+
+
+class TestLabels:
+    @given(LABEL_ARRAYS)
+    def test_same_as_the_reference_rule(self, values):
+        try:
+            expected = reference_labels(values, "v")
+        except InputError:
+            with pytest.raises(InputError, match=r"^v must be whole numbers in \[0, 2\*\*53\)$"):
+                risk._labels(values, "v")
+            return
+        got = risk._labels(values, "v")
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_what_is_not_a_number_is_rejected(self):
+        for values in (["a"], [{}], [1 + 2j], [[0], [1, 2]]):
+            with pytest.raises(InputError, match=r"^v must be whole numbers in \[0, 2\*\*53\)$"):
+                risk._labels(values, "v")
+
+    def test_label_arrays_are_one_dimensional(self):
+        for values in (3, [[0, 1]], np.zeros((2, 1), dtype=int)):
+            with pytest.raises(InputError, match="^v must be a 1-D array of n labels"):
+                risk._labels(values, "v")
+
+    def test_an_int_array_is_not_copied(self):
+        values = np.array([0, 3, 1])
+        assert risk._labels(values, "v", 3, 4) is values
+
+
+_P = np.array([[0.8, 0.2], [0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
+_X = [[0.0], [1.0], [2.0], [3.0]]
+_TEST = GroupedDataset(features=_X, targets=[0, 1, 0, 1], groups=[0, 1, 0, 1])
+
+# Every entry point that takes a label array: the argument it names, a valid
+# value for it, its bound, and the call with that argument replaced.
+LABEL_ENTRY_POINTS = {
+    "sample_losses": ("targets", [0, 1, 0, 1], 2, lambda v: sample_losses(_P, v)),
+    "weighted_grad": ("targets", [0, 1, 0, 1], 2, lambda v: weighted_grad(MLPClassifier([1, 2]), _X, v, np.ones(4))),
+    "group_means": ("groups", [0, 1, 0, 1], 2, lambda v: group_means([1.0, 2.0, 3.0, 4.0], v, 2)),
+    "group_risks": ("groups", [0, 1, 0, 1], 2**53, lambda v: group_risks(_P, [0, 1, 0, 1], v)),
+    "fit_equalizing_rule": ("groups", [0, 1, 0, 1], 2**53, lambda v: fit_equalizing_rule([1, 1, 1, 1], v)),
+    "apply_rule": ("groups", [0, 1, 0, 1], 2, lambda v: apply_rule([1.0, 0.5], [0, 1, 0, 1], v)),
+    "metrics_from_decisions": ("decisions", [0, 1, 1, 0], 2**53, lambda v: metrics_from_decisions(v, _TEST, [0.0, 0.0], "m")),
+}
+LABEL_FAULTS = {
+    "negative": lambda valid, bound: [valid[0], -1, *valid[2:]],
+    "fractional": lambda valid, bound: [valid[0], 0.5, *valid[2:]],
+    "at the bound": lambda valid, bound: [valid[0], bound, *valid[2:]],
+    "wrong length": lambda valid, bound: valid[:-1],
+}
+
+
+class TestLabelEntryPoints:
+    @pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+    def test_valid_labels_pass(self, entry):
+        _name, valid, _bound, call = LABEL_ENTRY_POINTS[entry]
+        call(valid)
+
+    @pytest.mark.parametrize("fault", LABEL_FAULTS)
+    @pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+    def test_bad_labels_raise_input_error_naming_the_argument(self, entry, fault):
+        name, valid, bound, call = LABEL_ENTRY_POINTS[entry]
+        with pytest.raises(InputError, match=f"^{name} must be"):
+            call(LABEL_FAULTS[fault](valid, bound))
+
+    @pytest.mark.parametrize("fault", ["negative", "fractional", "at the bound"])
+    def test_bad_correct_flags_rejected(self, fault):
+        with pytest.raises(InputError, match="^correct must be whole numbers in \\[0, 2\\)"):
+            fit_equalizing_rule(LABEL_FAULTS[fault]([1, 1, 1, 1], 2), [0, 1, 0, 1])
 
 
 class TestGroupMeans:
