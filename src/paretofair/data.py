@@ -4,6 +4,7 @@ the one CSV table writer and reader, and the ``key = value`` settings files."""
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain, islice
 
@@ -90,61 +91,41 @@ def read_table(path, parse_header):
 
     ``parse_header(header)`` checks the header row and returns the function
     that parses a block of data rows (a list of lists of str). Rows are read
-    ``_BLOCK_ROWS`` at a time. A block that raises ValueError is parsed again
-    one row at a time, so the parser must raise for a one-row block exactly
-    when that row is bad. An empty file, a row whose field count differs from
-    the header's, bytes that are not UTF-8, or a ValueError from either
-    function raise InputError naming ``path:line``. The rows before a bad one
-    are parsed first, so the error raised is the first in the file.
+    ``_BLOCK_ROWS`` at a time, and each block's field counts are checked
+    before it is parsed. On any error the file is read again from the start,
+    one row per block, so the error raised is that of the first bad row in
+    the file. A parser may therefore see rows a second time, and it must
+    raise for a one-row block exactly when that row is bad. An empty file, a
+    row whose field count differs from the header's, bytes that are not
+    UTF-8, or a ValueError from either function raise InputError naming
+    ``path:line``.
     """
-    blocks, rows, lines = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise InputError(f"{path}: empty file")
-            parse_block = parse_header(header)
-            width = len(header)
-            while True:
-                for row in islice(reader, _BLOCK_ROWS):
-                    if len(row) != width:
-                        raise ValueError(f"expected {width} fields, got {len(row)}")
-                    rows.append(row)
-                    lines.append(reader.line_num)
-                if rows:
-                    blocks.append(_parse_block(path, parse_block, rows, lines))
-                if len(rows) < _BLOCK_ROWS:
-                    return blocks
-                rows, lines = [], []
-        except UnicodeDecodeError:
-            error = _undecodable(path)
-        except InputError:
-            raise
-        except (ValueError, csv.Error) as exc:
-            error = InputError(f"{path}:{reader.line_num}: {exc}")
-    if rows:
-        _parse_block(path, parse_block, rows, lines)
-    raise error
-
-
-def _parse_block(path, parse_block, rows, lines):
-    """``parse_block(rows)``, or the InputError of the first row that fails alone.
-
-    ``lines`` holds the line each row ends on.
-    """
-    try:
-        return parse_block(rows)
-    except ValueError as block_exc:
-        for row, line in zip(rows, lines):
+    error = None
+    for block_rows in (_BLOCK_ROWS, 1):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                parse_block([row])
+                header = next(reader, None)
+                if header is None:
+                    raise InputError(f"{path}: empty file")
+                parse_block = parse_header(header)
+                blocks = []
+                while rows := list(islice(reader, block_rows)):
+                    for row in rows:
+                        if len(row) != len(header):
+                            raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    blocks.append(parse_block(rows))
+                if error is None:
+                    return blocks
             except InputError:
                 raise
-            except ValueError as exc:
-                raise InputError(f"{path}:{line}: {exc}") from None
-        # no row fails alone: a parser that breaks the contract above
-        raise InputError(f"{path}:{lines[-1]}: {block_exc}") from None
+            except UnicodeDecodeError:
+                error = _undecodable(path)
+            except (ValueError, csv.Error) as exc:
+                error = InputError(f"{path}:{reader.line_num}: {exc}")
+    # the one-row pass names the first bad row; if it finds none, the parser
+    # breaks the contract above and the error of the first pass stands
+    raise error
 
 
 def exact_header(columns, parse_block):
@@ -180,6 +161,9 @@ def load_csv(path) -> GroupedDataset:
     """Read a dataset CSV: header f0..f{d-1} (in this order), target and group."""
 
     def parse_header(header):
+        repeated = [col for col, count in Counter(header).items() if count > 1]
+        if repeated:
+            raise ValueError(f"repeated column '{repeated[0]}'")
         for col in ("target", "group"):
             if col not in header:
                 raise ValueError(f"missing required column '{col}'")

@@ -100,6 +100,10 @@ class TestCsvRoundTrip:
         path.write_text("foo,target,group\n0.1,0,0\n")
         with pytest.raises(InputError, match="feature columns"):
             load_csv(path)
+        # a repeated column is named, not read from its first copy
+        path.write_text("f0,target,group,target\n0.1,0,0,1\n")
+        with pytest.raises(InputError, match=r"bad\.csv:1: repeated column 'target'"):
+            load_csv(path)
 
 
 def reference_split(dataset, fractions, seed):

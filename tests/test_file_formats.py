@@ -136,6 +136,9 @@ def reference_load_csv(path):
     """load_csv over the per-row reader: one float row per sample, then one conversion."""
 
     def parse_header(header):
+        for col in header:
+            if header.count(col) > 1:
+                raise ValueError(f"repeated column '{col}'")
         for col in ("target", "group"):
             if col not in header:
                 raise ValueError(f"missing required column '{col}'")
@@ -237,6 +240,13 @@ GOOD = b"0.5,1,0\n"
         # the decoder reads, in the same block
         (*DATASET, b"e,1,0\n" + GOOD * 2000 + b"\xff,1,0\n", "2: could not"),
         (*DATASET, GOOD * 2000 + b"\xff,1,0\n", "2002: 'utf-8' codec"),
+        # a stateful parser: the method changes on the first row of the second
+        # block, and the re-read runs the first row's check again
+        (
+            *METRICS,
+            b"".join(b"x,g%d,0.5,0.5,0.5,3\n" % i for i in range(_BLOCK_ROWS - 1)) + b"y,h,0.5,0.5,0.5,3\n",
+            f"{_BLOCK_ROWS + 2}: method 'y' differs from the first row's 'x'",
+        ),
     ],
 )
 def test_block_reader_errors_name_the_first_bad_line(tmp_path, load, reference, head, body, message):
@@ -245,6 +255,15 @@ def test_block_reader_errors_name_the_first_bad_line(tmp_path, load, reference, 
     want = outcome(reference, path)
     assert want[0] == "error" and want[1].startswith(f"{path}:{message}")
     assert outcome(load, path) == want
+
+
+def test_block_size_is_read_at_call_time(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("k\n0\n1\n2\n3\n4\n")
+    sizes = []
+    with mock.patch("paretofair.data._BLOCK_ROWS", 2):
+        read_table(path, exact_header(["k"], lambda rows: sizes.append(len(rows))))
+    assert sizes == [2, 2, 1]
 
 
 def test_load_csv_takes_columns_by_name(tmp_path):
