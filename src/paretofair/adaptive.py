@@ -137,13 +137,7 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
     return best, trace
 
 
-def pareto_fair_optimize(
-    train: GroupedDataset,
-    val: GroupedDataset,
-    model: MLPClassifier,
-    hp: PFHyperparams,
-    loss: str = "brier",
-):
+def pareto_fair_optimize(train: GroupedDataset, val: GroupedDataset, model: MLPClassifier, hp: PFHyperparams):
     """``outer_loop`` with weighted SGD as its solver; returns (best_model, trace).
 
     Each step restores the snapshot it is given and runs one
@@ -167,7 +161,6 @@ def pareto_fair_optimize(
             objective=lambda r: adaptive_loss(r, mu, c),
             weight_rule=lambda r: _weights(r, two_mu, c),
             config=TrainConfig(**{**inner, "lr": lr, "seed": seed}),
-            loss=loss,
         )
         return model.params.copy(), risks
 
@@ -211,4 +204,4 @@ def write_trace_csv(trace, path):
     header += [f"r_{a}" for a in range(G)]
     header += ["max_gap"]
     rows = ([r.iteration, int(r.accepted), r.lr, r.gamma, r.c, *r.mu, *r.risks, r.max_gap] for r in trace)
-    write_table(path, header, zip(*rows))
+    write_table(path, header, zip(*rows, strict=True))

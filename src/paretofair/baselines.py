@@ -10,36 +10,24 @@ from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
 from paretofair.risk import InputError, _dense_groups, _labels, group_means
 
 
-def train_naive(
-    model: MLPClassifier,
-    train: GroupedDataset,
-    val: GroupedDataset,
-    config: TrainConfig,
-    loss: str = "brier",
-):
+def train_naive(model: MLPClassifier, train: GroupedDataset, val: GroupedDataset, config: TrainConfig):
     """Plain ERM: uniform sampling, objective = sample-weighted mean risk."""
     counts = np.bincount(val.groups)
 
     def objective(r) -> float:
         return float(np.dot(r, counts) / counts.sum())
 
-    model, _, _ = sgd_early_stop(model, train, val, objective, None, config, loss)
+    model, _, _ = sgd_early_stop(model, train, val, objective, None, config)
     return model
 
 
-def train_rebalanced(
-    model: MLPClassifier,
-    train: GroupedDataset,
-    val: GroupedDataset,
-    config: TrainConfig,
-    loss: str = "brier",
-):
+def train_rebalanced(model: MLPClassifier, train: GroupedDataset, val: GroupedDataset, config: TrainConfig):
     """Equal per-group sampling, objective = unweighted mean of group risks."""
 
     def objective(r) -> float:
         return float(r.mean())
 
-    model, _, _ = sgd_early_stop(model, train, val, objective, np.ones_like, config, loss)
+    model, _, _ = sgd_early_stop(model, train, val, objective, np.ones_like, config)
     return model
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from paretofair import adaptive, baselines, oracle, report
 from paretofair.data import GroupedDataset, _fractions_ok, load_csv, load_key_values, save_csv, split_dataset
 from paretofair.model import ACTIVATIONS, MLPClassifier, load_checkpoint, save_checkpoint
-from paretofair.risk import LOSSES, InputError, _check_field, _first_empty, _is_int, max_gap
+from paretofair.risk import InputError, _check_field, _first_empty, _is_int, max_gap
 
 METHODS = ("naive", "rebalanced", "paretofair")
 
@@ -40,7 +40,6 @@ class ExperimentConfig(adaptive.PFHyperparams):
     method: str = "paretofair"
     hidden: tuple = (64, 64)
     activation: str = "relu"
-    loss: str = "brier"
     n: int = 20000
     split: tuple = (0.6, 0.2, 0.2)
     out: str = "out"
@@ -48,7 +47,6 @@ class ExperimentConfig(adaptive.PFHyperparams):
     def __post_init__(self):
         super().__post_init__()
         _check_field(self, "method", self.method in METHODS, f"one of {METHODS}")
-        _check_field(self, "loss", self.loss in LOSSES, f"one of {LOSSES}")
         _check_field(self, "activation", self.activation in ACTIVATIONS, f"one of {ACTIVATIONS}")
         _check_field(self, "hidden", all(_is_int(w) and w >= 1 for w in self.hidden), "integer widths >= 1")
         _check_n(self)
@@ -130,11 +128,11 @@ def cmd_train(args) -> int:
     model = MLPClassifier(dims, activation=cfg.activation, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     if cfg.method == "naive":
-        baselines.train_naive(model, train, val, cfg, cfg.loss)
+        baselines.train_naive(model, train, val, cfg)
     elif cfg.method == "rebalanced":
-        baselines.train_rebalanced(model, train, val, cfg, cfg.loss)
+        baselines.train_rebalanced(model, train, val, cfg)
     else:
-        _model, trace = adaptive.pareto_fair_optimize(train, val, model, cfg, cfg.loss)
+        _model, trace = adaptive.pareto_fair_optimize(train, val, model, cfg)
         adaptive.write_trace_csv(trace, os.path.join(cfg.out, "trace.csv"))
     save_checkpoint(model, os.path.join(cfg.out, "model.ckpt"))
     metrics = report.compute_metrics(model.forward(test.features), test, cfg.method)

@@ -61,14 +61,18 @@ def write_table(path, header, columns):
     """Write a CSV file: the ``header`` row, then the rows of ``columns``.
 
     ``columns`` yields one sequence per header entry, all of one length;
-    columns of unequal length raise ValueError. A caller that builds rows and
-    passes ``zip(*rows)`` must build them all of one length, since ``zip``
-    stops at the shortest row without a word.
+    anything else raises ValueError before the file is opened. A caller that
+    builds rows passes ``zip(*rows, strict=True)``, so rows of unequal length
+    raise too.
 
     The one place a float cell is formatted: ``repr(float(v))`` for every
     float (numpy floats too), which reads back bit-identical; a float64 array
     is formatted whole, through ``tolist``. Other cells use ``str``.
     """
+    columns = list(columns)
+    lengths = sorted({len(col) for col in columns})
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError(f"a header of {len(header)} names over {len(columns)} columns of lengths {lengths}")
     cells = [
         map(repr, col.tolist())
         if isinstance(col, np.ndarray) and col.dtype == np.float64
@@ -78,7 +82,7 @@ def write_table(path, header, columns):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(zip(*cells, strict=True))
+        w.writerows(zip(*cells))
 
 
 # rows read and parsed per block: large enough that the per-block calls cost

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from paretofair.data import GroupedDataset
-from paretofair.risk import InputError, _check_field, _is_int, _labels, _losses_and_grads, group_risks
+from paretofair.risk import LOSSES, InputError, _check_field, _is_int, _labels, _losses_and_grads, group_risks
 
 ACTIVATIONS = ("relu", "tanh")
 _CKPT_MAGIC = b"PFCKPT1\n"
@@ -22,13 +22,14 @@ _CKPT_MAGIC = b"PFCKPT1\n"
 
 @dataclass
 class TrainConfig:
-    """Inner SGD settings."""
+    """Inner SGD settings: the step, the stopping rule, the seed and the loss (one of ``LOSSES``)."""
 
     lr: float = 0.1
     batch_size: int = 128
     max_epochs: int = 60
     patience: int = 5
     seed: int = 0
+    loss: str = "brier"
 
     def __post_init__(self):
         _check_field(self, "lr", 0 < self.lr < np.inf, "finite and positive")
@@ -38,6 +39,7 @@ class TrainConfig:
             self, "patience", _is_int(self.patience) and 0 <= self.patience <= self.max_epochs,
             "an integer in [0, max_epochs]",
         )
+        _check_field(self, "loss", self.loss in LOSSES, f"one of {LOSSES}")
 
 
 def _num_params(layer_dims) -> int:
@@ -53,9 +55,10 @@ class MLPClassifier:
     """
 
     def __init__(self, layer_dims, activation: str = "relu", seed: int = 0):
-        layer_dims = list(int(d) for d in layer_dims)
-        if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-            raise InputError("layer_dims needs at least [input_dim, num_classes]")
+        layer_dims = list(layer_dims)
+        if len(layer_dims) < 2 or not all(_is_int(d) and d >= 1 for d in layer_dims):
+            raise InputError(f"layer_dims must be [input_dim, ..., num_classes], integers >= 1, got {layer_dims!r}")
+        layer_dims = [int(d) for d in layer_dims]
         if activation not in ACTIVATIONS:
             raise InputError(f"activation must be one of {ACTIVATIONS}")
         self.layer_dims = layer_dims
@@ -193,10 +196,11 @@ def sgd_early_stop(
     objective,
     weight_rule,
     config: TrainConfig,
-    loss: str = "brier",
 ):
     """Minibatch SGD with group-dependent sample weights and early stopping.
 
+    Every setting comes from ``config``; ``config.loss`` is both the loss the
+    gradient descends and the loss of the validation group risks.
     With ``weight_rule=None`` this is ERM: each epoch walks one permutation
     of the rows, and every row has weight 1. Otherwise each batch takes
     ceil(batch_size / G) rows of each group, drawn with replacement, and
@@ -220,7 +224,7 @@ def sgd_early_stop(
     """
     rng = np.random.default_rng(config.seed)
     n = train.n
-    lr, bs = config.lr, config.batch_size
+    lr, bs, loss = config.lr, config.batch_size, config.loss
     if weight_rule is None:
         weights = np.ones_like
     else:

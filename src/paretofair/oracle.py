@@ -232,9 +232,11 @@ def reference_points(spec: ScenarioSpec, front):
         "naive": naive,
         "rebalanced": rebalanced,
         "pareto_fair": pf,
-        # every group degraded (by mixing toward the uninformative predictor)
-        # to the worst Pareto-fair group risk
-        "equality_of_risk": np.full(spec.num_groups, pf.max()),
+        # every group moved to one level by mixing with the uninformative
+        # predictor 0.5, whose risk is 0.5 whatever eta is, so group a reaches
+        # any level between r_a and 0.5: the worst Pareto-fair risk when it is
+        # at most 0.5, and otherwise 0.5, the one level every group reaches
+        "equality_of_risk": np.full(spec.num_groups, min(pf.max(), 0.5)),
     }
 
 
@@ -275,4 +277,4 @@ def write_reference_csv(refs: dict, path):
     G = len(next(iter(refs.values())))
     header = ["name"] + [f"r_{a}" for a in range(G)] + ["max_gap"]
     rows = ([name, *r, max_gap(r)] for name, r in refs.items())
-    write_table(path, header, zip(*rows))
+    write_table(path, header, zip(*rows, strict=True))

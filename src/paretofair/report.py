@@ -60,7 +60,7 @@ def save_metrics_csv(metrics: MethodMetrics, path):
         for a in range(len(metrics.ratios))
     ]
     rows += [[metrics.method, name, "", av, bv, ""] for name, av, bv in zip(SUMMARY_ROWS, acc_s, bs_s)]
-    write_table(path, _HEADER, zip(*rows))
+    write_table(path, _HEADER, zip(*rows, strict=True))
 
 
 def _parse_metrics_row(row):
@@ -121,7 +121,7 @@ def combine_reports(paths, out_csv=None):
             row += summary[summary_name]
         rows.append(row)
     if out_csv is not None:
-        write_table(out_csv, header, zip(*rows))
+        write_table(out_csv, header, zip(*rows, strict=True))
     return header, rows
 
 

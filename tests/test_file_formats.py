@@ -23,7 +23,7 @@ from paretofair.data import (
     write_table,
 )
 from paretofair.model import load_checkpoint
-from paretofair.oracle import load_scenario
+from paretofair.oracle import load_scenario, write_reference_csv
 from paretofair.report import SUMMARY_ROWS, _HEADER, _parse_metrics_row, load_metrics_csv
 from paretofair.risk import InputError
 
@@ -322,6 +322,18 @@ def test_column_writer_matches_the_row_writer(tmp_path, columns):
     write_table(tmp_path / "new.csv", header, columns)
     reference_write_table(tmp_path / "ref.csv", header, zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_table(path, ["a", "b"], [[1, 2]]),
+    lambda path: write_table(path, ["a", "b"], [np.zeros(2), [1]]),
+    lambda path: write_reference_csv({"x": [0.1, 0.2], "y": [0.3]}, path),
+], ids=["one column under two names", "columns of unequal length", "rows of unequal length"])
+def test_a_table_its_reader_would_reject_raises_and_writes_nothing(tmp_path, write):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        write(path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("load, prefix", TEXT_LOADERS)

@@ -77,6 +77,14 @@ class TestInit:
         with pytest.raises(InputError):
             MLPClassifier([4])
 
+    @pytest.mark.parametrize("width", [2.7, "4", True])
+    def test_non_integer_width_names_layer_dims(self, width):
+        with pytest.raises(InputError, match=r"^layer_dims must be .*integers >= 1, got \[1, "):
+            MLPClassifier([1, width, 2])
+
+    def test_numpy_integer_widths_accepted(self):
+        assert MLPClassifier([np.int64(1), np.int32(3), 2]).layer_dims == [1, 3, 2]
+
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("dims", [[1, 2], [3, 5, 2], [1, 64, 64, 2]])
     def test_params_hold_the_per_layer_draws(self, dims, activation):
@@ -382,6 +390,7 @@ class TestTrainConfig:
             ("patience", 1.5),
             ("patience", -1),
             ("patience", 61),
+            ("loss", "hinge"),
         ],
     )
     def test_out_of_range_setting_names_the_field(self, field, value):
@@ -512,11 +521,11 @@ def grouped_dataset(n, G, seed):
     return GroupedDataset(features=X, targets=y, groups=groups)
 
 
-def reference_stratified_sgd(model, train, val, objective, weight_rule, cfg, loss):
+def reference_stratified_sgd(model, train, val, objective, weight_rule, cfg):
     """sgd_early_stop's stratified path written out plainly: one draw per group per
     batch, the group risks from a separate forward pass, array sample weights."""
     rng = np.random.default_rng(cfg.seed)
-    G = train.num_groups
+    G, loss = train.num_groups, cfg.loss
     group_indices = [np.flatnonzero(train.groups == a) for a in range(G)]
     per = -(-cfg.batch_size // G)
     best, best_obj = model.params.copy(), np.inf
@@ -554,11 +563,11 @@ class TestStratifiedSgd:
         def weight_rule(r):
             return group_weights(r, mu, c)
 
-        cfg = TrainConfig(lr=0.3, batch_size=batch_size, max_epochs=4, patience=4, seed=11)
+        cfg = TrainConfig(lr=0.3, batch_size=batch_size, max_epochs=4, patience=4, seed=11, loss=loss)
         model = MLPClassifier([1, 4, 2], seed=3)
-        model, best_risks, _ = sgd_early_stop(model, train, val, objective, weight_rule, cfg, loss)
+        model, best_risks, _ = sgd_early_stop(model, train, val, objective, weight_rule, cfg)
         ref = MLPClassifier([1, 4, 2], seed=3)
-        ref_obj = reference_stratified_sgd(ref, train, val, objective, weight_rule, cfg, loss)
+        ref_obj = reference_stratified_sgd(ref, train, val, objective, weight_rule, cfg)
         assert objective(best_risks) == ref_obj
         # the returned risks are those of the restored parameters
         restored = group_risks(model.forward(val.features), val.targets, val.groups, loss)

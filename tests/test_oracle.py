@@ -428,6 +428,22 @@ class TestReferencePoints:
         assert eq.max() - eq.min() == pytest.approx(0.0)
         assert np.all(pf <= eq + 1e-12)  # weak dominance
 
+    def test_equality_of_risk_is_reachable_by_mixing_toward_one_half(self, acceptance_spec):
+        # a risk mixed with the constant 0.5 predictor's reaches only levels between it and 0.5
+        refs = reference_points(acceptance_spec, np.array([[1.0, 0.0, 0.55, 0.45]]))
+        assert np.array_equal(refs["equality_of_risk"], [0.5, 0.5])
+        # three groups whose 1001-lambda smallest-gap point has a group risk above 0.5
+        spec = make_scenario(ScenarioParams(
+            priors=(0.3955, 0.593, 0.0115),
+            rho_low=(0.0066, 0.3253, 0.3651),
+            rho_high=(0.8427, 0.8918, 0.8174),
+            density_centers=(0.674, 0.6263, 0.3011),
+            density_widths=(0.1857, 0.1034, 0.173),
+        ))
+        refs = reference_points(spec, trace_front(spec, 1001))
+        assert refs["pareto_fair"].max() > 0.5 > refs["pareto_fair"].min()
+        assert np.array_equal(refs["equality_of_risk"], [0.5, 0.5, 0.5])
+
     def test_reads_the_given_front_and_traces_nothing(self, acceptance_spec, monkeypatch):
         def no_trace(*args, **kwargs):
             raise AssertionError("reference_points traced a front")

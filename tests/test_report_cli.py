@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from paretofair import cli, oracle
-from paretofair.adaptive import PFHyperparams
-from paretofair.data import GroupedDataset, load_csv, save_csv
+from paretofair.adaptive import PFHyperparams, pareto_fair_optimize
+from paretofair.baselines import train_naive, train_rebalanced
+from paretofair.data import GroupedDataset, load_csv, save_csv, split_dataset
 from paretofair.model import MLPClassifier, TrainConfig, load_checkpoint, save_checkpoint
 from paretofair.oracle import ScenarioParams, sample_dataset, save_scenario
 from paretofair.report import (
@@ -151,9 +152,9 @@ class TestCombineAndFormat:
 
 # every key a --config file may set: TrainConfig's, then PFHyperparams', then ExperimentConfig's own
 CONFIG_KEYS = {
-    "lr", "batch_size", "max_epochs", "patience", "seed",
+    "lr", "batch_size", "max_epochs", "patience", "seed", "loss",
     "mu_init", "k", "gamma0", "xi", "zeta", "max_outer_iters", "max_consecutive_rejects", "lr_min",
-    "scenario", "data", "method", "hidden", "activation", "loss", "n", "split", "out",
+    "scenario", "data", "method", "hidden", "activation", "n", "split", "out",
 }
 
 
@@ -272,6 +273,32 @@ class TestCliCommands:
         ])
         assert rc == 0
         assert (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_train_honours_the_config_loss(self, method, scenario_file, tmp_path):
+        small = "n = 600\nhidden = 4\nmax_epochs = 3\npatience = 1\nmax_outer_iters = 3\n"
+        ckpt = {}
+        for loss in ("brier", "cross_entropy"):
+            cfg = tmp_path / f"{loss}.txt"
+            cfg.write_text(f"{small}loss = {loss}\n")
+            out = tmp_path / loss
+            argv = ["train", "--config", str(cfg), "--scenario", scenario_file, "--method", method, "--out", str(out)]
+            assert cli.main(argv) == 0
+            ckpt[loss] = (out / "model.ckpt").read_bytes()
+        assert ckpt["cross_entropy"] != ckpt["brier"]
+        # the library trainer on the same split, told the loss by its config alone
+        ds = sample_dataset(oracle.make_scenario(oracle.load_scenario(scenario_file)), 600, seed=0)
+        train, val, _test = split_dataset(ds, (0.6, 0.2, 0.2), seed=0)
+        model = MLPClassifier([ds.dim, 4, ds.num_classes], seed=0)
+        hp = PFHyperparams(max_epochs=3, patience=1, max_outer_iters=3, loss="cross_entropy")
+        if method == "naive":
+            train_naive(model, train, val, hp)
+        elif method == "rebalanced":
+            train_rebalanced(model, train, val, hp)
+        else:
+            pareto_fair_optimize(train, val, model, hp)
+        save_checkpoint(model, tmp_path / "library.ckpt")
+        assert (tmp_path / "library.ckpt").read_bytes() == ckpt["cross_entropy"]
 
     def test_train_paretofair_top_seed(self, scenario_file, tmp_path):
         # outer step i trains at seed + i, past the 2**63 bound of the seed key
