@@ -7,7 +7,7 @@ import numpy as np
 
 from paretofair.data import GroupedDataset, write_table
 from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
-from paretofair.risk import InputError, _dense_groups, _labels, group_means
+from paretofair.risk import InputError, _check_seed, _dense_groups, _labels, group_means
 
 
 def train_naive(model: MLPClassifier, train: GroupedDataset, val: GroupedDataset, config: TrainConfig):
@@ -64,6 +64,7 @@ def apply_rule(keep_prob, decisions, groups, seed: int = 0) -> np.ndarray:
         raise InputError("keep probabilities must lie in [0, 1], one per group")
     decisions = _labels(decisions, "decisions")
     groups = _labels(groups, "groups", len(decisions), len(keep_prob))
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     keep = rng.random(decisions.shape[0]) < keep_prob[groups]
     coin = rng.integers(0, 2, size=decisions.shape[0])

@@ -17,14 +17,9 @@ import numpy as np
 from paretofair import adaptive, baselines, oracle, report
 from paretofair.data import GroupedDataset, _fractions_ok, load_csv, load_key_values, save_csv, split_dataset
 from paretofair.model import ACTIVATIONS, MLPClassifier, load_checkpoint, save_checkpoint
-from paretofair.risk import InputError, _check_field, _first_empty, _is_int, max_gap
+from paretofair.risk import InputError, _check_field, _check_seed, _first_empty, _is_int, max_gap
 
 METHODS = ("naive", "rebalanced", "paretofair")
-
-
-def _check_seed(obj):
-    """InputError naming ``obj.seed`` unless numpy and the checkpoint's int64 field both take it."""
-    _check_field(obj, "seed", _is_int(obj.seed) and 0 <= obj.seed < 2**63, "an integer in [0, 2**63)")
 
 
 def _check_n(obj):
@@ -45,12 +40,13 @@ class ExperimentConfig(adaptive.PFHyperparams):
     out: str = "out"
 
     def __post_init__(self):
+        # before TrainConfig's own seed check, so an error states the bound the checkpoint needs
+        _check_seed(self.seed, int64=True)
         super().__post_init__()
         _check_field(self, "method", self.method in METHODS, f"one of {METHODS}")
         _check_field(self, "activation", self.activation in ACTIVATIONS, f"one of {ACTIVATIONS}")
         _check_field(self, "hidden", all(_is_int(w) and w >= 1 for w in self.hidden), "integer widths >= 1")
         _check_n(self)
-        _check_seed(self)
         _check_field(self, "split", len(self.split) == 3, "three fractions (train, validation, test)")
         _check_field(self, "split", _fractions_ok(self.split), "positive fractions that sum to 1")
 
@@ -88,7 +84,7 @@ def _sample_scenario(path, n: int, seed: int) -> GroupedDataset:
 
 
 def cmd_synth(args) -> int:
-    _check_seed(args)
+    _check_seed(args.seed, int64=True)
     _check_n(args)
     ds = _sample_scenario(args.scenario, args.n, args.seed)
     save_csv(ds, args.out)
@@ -143,7 +139,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_postproc(args) -> int:
-    _check_seed(args)
+    _check_seed(args.seed, int64=True)
     model = load_checkpoint(args.checkpoint)
     ds = load_csv(args.data)
     if ds.dim != model.layer_dims[0] or ds.num_classes > model.num_classes:

@@ -10,7 +10,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from paretofair.risk import InputError, _dense_groups, _labels
+from paretofair.risk import InputError, _check_seed, _dense_groups, _labels
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,7 @@ def split_dataset(dataset: GroupedDataset, fractions=(0.6, 0.2, 0.2), seed: int 
     fractions = np.asarray(fractions, dtype=float)
     if not _fractions_ok(fractions):
         raise InputError("split fractions must be positive and sum to 1")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     k = len(fractions)
     split_of = np.empty(dataset.n, dtype=int)

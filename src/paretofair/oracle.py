@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from paretofair.data import GroupedDataset, load_key_values, write_table
-from paretofair.risk import InputError, _is_int, dominates, max_gap
+from paretofair.risk import InputError, _check_seed, _is_int, dominates, max_gap
 
 _TOL = 1e-9
 
@@ -93,7 +93,9 @@ def make_scenario(params: ScenarioParams = ScenarioParams()) -> ScenarioSpec:
         raise InputError("density_centers must be finite")
     if not np.all(np.asarray(params.density_widths, dtype=float) > 0):
         raise InputError("density_widths must be positive")
-    if not (params.grid_points >= 2 and -np.inf < params.grid_min < params.grid_max < np.inf):
+    if not (_is_int(params.grid_points) and params.grid_points >= 2):
+        raise InputError(f"grid_points must be an integer >= 2, got {params.grid_points!r}")
+    if not (-np.inf < params.grid_min < params.grid_max < np.inf):
         raise InputError("invalid grid bounds")
     x = np.linspace(params.grid_min, params.grid_max, params.grid_points)
     transitions = [
@@ -194,8 +196,8 @@ def trace_front(spec: ScenarioSpec, num_lambda: int = 1001) -> np.ndarray:
     Returns one row per front point: its lambda_0.., then its risks r_0..
     (2G columns), sorted by r_0, then by r_{G-1}.
     """
-    if num_lambda < 3:
-        raise InputError("num_lambda must be at least 3")
+    if not (_is_int(num_lambda) and num_lambda >= 3):
+        raise InputError(f"num_lambda must be an integer >= 3, got {num_lambda!r}")
     lams = _simplex_grid(spec.num_groups, num_lambda)
     risks = [exact_group_risks(spec, scalarized_bayes_predictor(spec, lam)) for lam in lams]
     # dominates(r, r) is False, so r need not be skipped in its own scan
@@ -244,6 +246,7 @@ def sample_dataset(spec: ScenarioSpec, n: int, seed: int = 0) -> GroupedDataset:
     """Draw n triplets (x, y, a), x jittered within its grid bin; InputError if a group gets none."""
     if not (_is_int(n) and n >= 1):
         raise InputError(f"n must be an integer >= 1, got {n!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     G, B = spec.density.shape
     groups = rng.choice(G, size=n, p=spec.priors)

@@ -16,6 +16,14 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_seed(seed, int64: bool = False):
+    """InputError naming ``seed`` unless numpy takes it (an integer >= 0) and, if
+    ``int64``, a checkpoint's int64 seed field does too (below 2**63)."""
+    if not (_is_int(seed) and seed >= 0 and (not int64 or seed < 2**63)):
+        rule = "an integer in [0, 2**63)" if int64 else "an integer >= 0"
+        raise InputError(f"seed must be {rule}, got {seed!r}")
+
+
 def _check_field(obj, name: str, ok: bool, rule: str):
     """InputError naming the field ``name`` of ``obj`` and its value, unless ``ok``."""
     if not ok:

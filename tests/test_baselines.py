@@ -149,6 +149,11 @@ class TestApplyRule:
             with pytest.raises(InputError, match=r"keep probabilities must lie in \[0, 1\]"):
                 apply_rule(np.array([keep_prob]), [0], [0])
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(InputError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            apply_rule([1.0, 0.5], [0, 1], [0, 1], seed=seed)
+
     @pytest.mark.parametrize(
         "keep_prob, decisions, groups, message",
         [

@@ -160,6 +160,11 @@ class TestSplit:
         with pytest.raises(InputError):
             split_dataset(ds, (0.5, 0.6), seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(InputError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            split_dataset(small_dataset(), (0.5, 0.5), seed=seed)
+
     def test_all_groups_in_all_splits(self):
         ds = small_dataset(n=200, seed=1)
         parts = split_dataset(ds, (0.6, 0.2, 0.2), seed=0)

@@ -77,6 +77,16 @@ class TestInit:
         with pytest.raises(InputError):
             MLPClassifier([4])
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, 2**63])
+    def test_seed_outside_the_checkpoint_field_rejected(self, seed):
+        with pytest.raises(InputError, match=rf"^seed must be an integer in \[0, 2\*\*63\), got {seed!r}$"):
+            MLPClassifier([3, 4, 2], seed=seed)
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(MLPClassifier([3, 4, 2], seed=2**63 - 1), path)
+        assert load_checkpoint(path).seed == 2**63 - 1
+
     @pytest.mark.parametrize("width", [2.7, "4", True])
     def test_non_integer_width_names_layer_dims(self, width):
         with pytest.raises(InputError, match=r"^layer_dims must be .*integers >= 1, got \[1, "):
@@ -348,15 +358,38 @@ class TestLayerLoop:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_forward_holds_at_most_two_hidden_activations(self, activation):
         m = MLPClassifier([1, 64, 64, 2], activation=activation, seed=0)
-        X = np.random.default_rng(0).standard_normal((20000, 1))
-        hidden_bytes = X.shape[0] * 64 * 8
+        X = np.random.default_rng(0).standard_normal((100_000, 1))
+        hidden_bytes = 16_383 * 64 * 8  # one activation of the largest block
         tracemalloc.start()
         try:
             m.forward(X)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * hidden_bytes, f"peak {peak / hidden_bytes:.2f} hidden activations"
+        peak -= X.shape[0] * 2 * 8  # the output
+        assert peak <= 2.25 * hidden_bytes, f"peak {peak / hidden_bytes:.2f} hidden activations of a block"
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dims", [[1, 64, 64, 2], [3, 64, 64, 2]])
+    def test_blocked_forward_matches_one_call_bitwise(self, activation, dims, monkeypatch):
+        rng = np.random.default_rng(dims[0])
+        m = MLPClassifier(dims, activation=activation, seed=0)
+        for b in m.biases:
+            b[...] = rng.standard_normal(b.shape)
+        X = rng.standard_normal((40_000, dims[0]))
+        want = {n: m._forward_cached(X[:n]) for n in (16_383, 16_384, 16_385, 40_000)}
+        rows = []
+        one_call = MLPClassifier._forward_cached
+
+        def counted(self, X, hs=None):
+            rows.append(len(X))
+            return one_call(self, X, hs)
+
+        monkeypatch.setattr(MLPClassifier, "_forward_cached", counted)
+        for n, probs in want.items():
+            assert m.forward(X[:n]).tobytes() == probs.tobytes()
+        # blocks of 8,192 rows, the last taking the remainder
+        assert rows == [16_383, 8_192, 8_192, 8_192, 8_193, 8_192, 8_192, 8_192, 15_424]
 
 
 def separable_dataset(n=40, seed=0):
@@ -391,6 +424,9 @@ class TestTrainConfig:
             ("patience", -1),
             ("patience", 61),
             ("loss", "hinge"),
+            ("seed", -1),
+            ("seed", 2.5),
+            ("seed", True),
         ],
     )
     def test_out_of_range_setting_names_the_field(self, field, value):
@@ -400,6 +436,10 @@ class TestTrainConfig:
     def test_numpy_integers_accepted(self):
         cfg = TrainConfig(batch_size=np.int64(32), max_epochs=np.int32(3), patience=np.int64(0))
         assert cfg.batch_size == 32
+
+    def test_seed_beyond_the_checkpoint_bound_accepted(self):
+        # the paper's trainer runs step ``it`` at seed + it, past any fixed bound
+        assert TrainConfig(seed=2**63).seed == 2**63
 
 
 class TestSgdEarlyStop:
@@ -653,6 +693,7 @@ class TestCheckpoint:
             (lambda b: b[:8] + b"\x07" + b[9:], "unknown activation tag 7"),
             (lambda b: b[:9] + b"\xff\xff\xff\xff" + b[13:], "truncated checkpoint header"),
             (lambda b: b[:9] + b"\x01\0\0\0" + b[13:17] + bytes(8), "layer_dims"),
+            (lambda b: b[:25] + struct.pack("<q", -1) + b[33:], r"seed must be an integer in \[0, 2\*\*63\)"),
         ],
     )
     def test_corrupt_checkpoint_names_path(self, tmp_path, corrupt, message):

@@ -56,6 +56,11 @@ class TestConstructor:
         with pytest.raises(InputError):
             make_scenario(ScenarioParams(rho_low=(0.9, 0.3), rho_high=(0.1, 0.7)))
 
+    @pytest.mark.parametrize("grid_points", [2.5, 401.0, True, 1])
+    def test_grid_points_must_be_an_integer(self, grid_points):
+        with pytest.raises(InputError, match=f"^grid_points must be an integer >= 2, got {grid_points!r}$"):
+            make_scenario(ScenarioParams(grid_points=grid_points))
+
     def test_transition_outside_grid_rejected(self):
         with pytest.raises(InputError):
             make_scenario(ScenarioParams(transition_center=1.5))
@@ -171,6 +176,11 @@ class TestSampling:
         b = sample_dataset(acceptance_spec, 1000, seed=42)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.targets, b.targets)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_bad_seed_named(self, acceptance_spec, seed):
+        with pytest.raises(InputError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            sample_dataset(acceptance_spec, 100, seed=seed)
 
     def test_group_frequencies(self, acceptance_spec):
         ds = sample_dataset(acceptance_spec, 100_000, seed=1)
@@ -382,8 +392,9 @@ class TestFront:
             assert np.array_equal(p[3:], exact_group_risks(spec, scalarized_bayes_predictor(spec, p[:3])))
 
     def test_num_lambda_validated(self, acceptance_spec):
-        with pytest.raises(InputError):
-            trace_front(acceptance_spec, 2)
+        for num_lambda in (2, 11.5, 11.0, True):
+            with pytest.raises(InputError, match=f"^num_lambda must be an integer >= 3, got {num_lambda!r}$"):
+                trace_front(acceptance_spec, num_lambda)
 
 
 class TestParetoFairPoint:
