@@ -58,11 +58,11 @@ def fit_equalizing_rule(correct, groups) -> np.ndarray:
 
 
 def apply_rule(keep_prob, decisions, groups, seed: int = 0) -> np.ndarray:
-    """Per sample: keep the decision with prob keep_prob[a], else a fair coin."""
+    """Per sample: keep the decision (0 or 1) with prob keep_prob[a], else a fair coin."""
     keep_prob = np.asarray(keep_prob, dtype=float)
     if keep_prob.ndim != 1 or not np.all((keep_prob >= 0) & (keep_prob <= 1)):  # NaN fails too
         raise InputError("keep probabilities must lie in [0, 1], one per group")
-    decisions = _labels(decisions, "decisions")
+    decisions = _labels(decisions, "decisions", bound=2)
     groups = _labels(groups, "groups", len(decisions), len(keep_prob))
     _check_seed(seed)
     rng = np.random.default_rng(seed)

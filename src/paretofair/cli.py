@@ -15,15 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from paretofair import adaptive, baselines, oracle, report
-from paretofair.data import GroupedDataset, _fractions_ok, load_csv, load_key_values, save_csv, split_dataset
+from paretofair.data import GroupedDataset, _fractions_ok, _naming, load_csv, load_key_values, save_csv, split_dataset
 from paretofair.model import ACTIVATIONS, MLPClassifier, load_checkpoint, save_checkpoint
 from paretofair.risk import InputError, _check_field, _check_seed, _first_empty, _is_int, max_gap
 
 METHODS = ("naive", "rebalanced", "paretofair")
-
-
-def _check_n(obj):
-    _check_field(obj, "n", _is_int(obj.n) and obj.n >= 1, "an integer >= 1")
 
 
 @dataclass
@@ -46,7 +42,7 @@ class ExperimentConfig(adaptive.PFHyperparams):
         _check_field(self, "method", self.method in METHODS, f"one of {METHODS}")
         _check_field(self, "activation", self.activation in ACTIVATIONS, f"one of {ACTIVATIONS}")
         _check_field(self, "hidden", all(_is_int(w) and w >= 1 for w in self.hidden), "integer widths >= 1")
-        _check_n(self)
+        _check_field(self, "n", _is_int(self.n) and self.n >= 1, "an integer >= 1")
         _check_field(self, "split", len(self.split) == 3, "three fractions (train, validation, test)")
         _check_field(self, "split", _fractions_ok(self.split), "positive fractions that sum to 1")
 
@@ -62,15 +58,7 @@ def _load_experiment_data(cfg: ExperimentConfig) -> GroupedDataset:
         raise InputError("set exactly one of 'data' (CSV path) and 'scenario' (scenario file)")
     if cfg.data:
         return load_csv(cfg.data)
-    return _sample_scenario(cfg.scenario, cfg.n, cfg.seed)
-
-
-def _naming(path, fn, *args):
-    """``fn(*args)``, with ``path`` put before the message of an InputError it raises."""
-    try:
-        return fn(*args)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return _naming(cfg.scenario, oracle.sample_dataset, _load_scenario(cfg.scenario), cfg.n, cfg.seed)
 
 
 def _load_scenario(path) -> oracle.ScenarioSpec:
@@ -78,15 +66,9 @@ def _load_scenario(path) -> oracle.ScenarioSpec:
     return _naming(path, oracle.make_scenario, oracle.load_scenario(path))
 
 
-def _sample_scenario(path, n: int, seed: int) -> GroupedDataset:
-    """``n`` rows drawn from the scenario file ``path``; every error names the file."""
-    return _naming(path, oracle.sample_dataset, _load_scenario(path), n, seed)
-
-
 def cmd_synth(args) -> int:
-    _check_seed(args.seed, int64=True)
-    _check_n(args)
-    ds = _sample_scenario(args.scenario, args.n, args.seed)
+    # train's data step, under train's checks of seed and n
+    ds = _load_experiment_data(ExperimentConfig(scenario=args.scenario, n=args.n, seed=args.seed))
     save_csv(ds, args.out)
     print(f"wrote {ds.n} samples to {args.out}")
     return 0
@@ -119,7 +101,7 @@ def cmd_train(args) -> int:
     empty = _first_empty(ds.targets)
     if empty is not None:
         raise InputError(f"{cfg.data or cfg.scenario}: class {empty} has no samples")
-    train, val, test = split_dataset(ds, cfg.split, seed=cfg.seed)
+    train, val, test = _naming(cfg.data or cfg.scenario, split_dataset, ds, cfg.split, seed=cfg.seed)
     dims = [ds.dim, *cfg.hidden, ds.num_classes]
     model = MLPClassifier(dims, activation=cfg.activation, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
@@ -145,7 +127,9 @@ def cmd_postproc(args) -> int:
     if ds.dim != model.layer_dims[0] or ds.num_classes > model.num_classes:
         raise InputError(f"{args.data} has {ds.dim} feature(s) and labels 0..{ds.num_classes - 1}, but "
                          f"{args.checkpoint} takes {model.layer_dims[0]} feature(s), {model.num_classes} class(es)")
-    fit_set, holdout = split_dataset(ds, (0.5, 0.5), seed=args.seed)
+    if model.num_classes != 2:  # the rule mixes each decision with a fair coin over {0, 1}
+        raise InputError(f"{args.checkpoint}: the rule needs a two-class model, got {model.num_classes} classes")
+    fit_set, holdout = _naming(args.data, split_dataset, ds, (0.5, 0.5), seed=args.seed)
     decisions = model.decisions(fit_set.features)
     keep_prob = baselines.fit_equalizing_rule(decisions == fit_set.targets, fit_set.groups)
     os.makedirs(args.out, exist_ok=True)

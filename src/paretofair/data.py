@@ -143,6 +143,14 @@ def exact_header(columns, parse_block):
     return parse_header
 
 
+def _naming(path, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with ``path`` put before the message of an InputError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _undecodable(path):
     """InputError naming the line of the first byte of ``path`` that is not UTF-8."""
     with open(path, "rb") as fh:
@@ -194,14 +202,8 @@ def load_csv(path) -> GroupedDataset:
     if not blocks:
         raise InputError(f"{path}: no data rows")
     features, targets, groups = zip(*blocks)
-    try:
-        return GroupedDataset(
-            features=np.concatenate(features),
-            targets=list(chain.from_iterable(targets)),
-            groups=list(chain.from_iterable(groups)),
-        )
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    targets, groups = list(chain.from_iterable(targets)), list(chain.from_iterable(groups))
+    return _naming(path, GroupedDataset, np.concatenate(features), targets, groups)
 
 
 def _fractions_ok(fractions) -> bool:
@@ -279,7 +281,4 @@ def load_key_values(path, cls):
                 values[key] = text
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {key}: {exc}") from None
-    try:
-        return cls(**values)
-    except InputError as exc:  # a value the class's own checks reject
-        raise InputError(f"{path}: {exc}") from None
+    return _naming(path, cls, **values)  # a value the class's own checks reject names the file

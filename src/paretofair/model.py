@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from paretofair.data import GroupedDataset
+from paretofair.data import GroupedDataset, _naming
 from paretofair.risk import (
     LOSSES,
     InputError,
@@ -348,9 +348,6 @@ def load_checkpoint(path) -> MLPClassifier:
     expected = pos + 8 * _num_params(dims)
     if len(buf) != expected:
         raise InputError(f"{path}: {len(buf)} bytes, but the header implies {expected}")
-    try:
-        model = MLPClassifier(dims, activation=ACTIVATIONS[tag], seed=seed)
-    except ValueError as exc:  # bad dims, or a negative seed
-        raise InputError(f"{path}: {exc}") from None
+    model = _naming(path, MLPClassifier, dims, activation=ACTIVATIONS[tag], seed=seed)  # bad dims or seed
     model.params[...] = np.frombuffer(buf, dtype=float, offset=pos)
     return model

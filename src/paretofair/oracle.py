@@ -247,6 +247,8 @@ def sample_dataset(spec: ScenarioSpec, n: int, seed: int = 0) -> GroupedDataset:
     if not (_is_int(n) and n >= 1):
         raise InputError(f"n must be an integer >= 1, got {n!r}")
     _check_seed(seed)
+    if spec.num_points < 2:
+        raise InputError("the grid needs at least 2 points: the jitter spans one bin width")
     rng = np.random.default_rng(seed)
     G, B = spec.density.shape
     groups = rng.choice(G, size=n, p=spec.priors)

@@ -119,6 +119,8 @@ def group_means(values, groups, num_groups: int):
     ``groups`` holds one id in [0, num_groups) per value. Returns (means,
     counts); an empty group gets mean 0 and count 0.
     """
+    if not (_is_int(num_groups) and num_groups >= 1):
+        raise InputError(f"num_groups must be an integer >= 1, got {num_groups!r}")
     values = np.asarray(values, dtype=float)
     groups = _labels(groups, "groups", len(values), num_groups)
     means = np.zeros(num_groups)

@@ -165,6 +165,8 @@ class TestApplyRule:
             ([1.0, 0.0], [0, 1], [0, -1], r"groups must be whole numbers in \[0, 2\)"),
             ([1.0, 0.0], [0, 1], [0, 2], r"groups must be whole numbers in \[0, 2\)"),
             ([[1.0, 0.0]], [0, 1], [0, 0], r"keep probabilities must lie in \[0, 1\], one per group"),
+            # the coin draws from {0, 1}, so a decision 2 would be kept or lost at random
+            ([1.0, 0.0], [0, 2], [0, 1], r"decisions must be whole numbers in \[0, 2\)"),
         ],
     )
     def test_malformed_inputs_raise_input_error(self, keep_prob, decisions, groups, message):

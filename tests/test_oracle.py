@@ -182,6 +182,11 @@ class TestSampling:
         with pytest.raises(InputError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
             sample_dataset(acceptance_spec, 100, seed=seed)
 
+    def test_one_point_grid_rejected(self):
+        # the jitter's bin width is grid[1] - grid[0]
+        with pytest.raises(InputError, match="^the grid needs at least 2 points"):
+            sample_dataset(single_group_spec(B=1), 100)
+
     def test_group_frequencies(self, acceptance_spec):
         ds = sample_dataset(acceptance_spec, 100_000, seed=1)
         assert np.all(np.abs(np.bincount(ds.groups) / ds.n - acceptance_spec.priors) < 0.01)

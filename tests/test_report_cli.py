@@ -373,6 +373,11 @@ class TestCliCommands:
                 "class 1 has no samples",
                 id="60 rows of classes 0 and 40",
             ),
+            pytest.param(
+                "0.1,0,0\n0.2,1,0\n0.3,0,1\n0.4,1,1\n0.5,0,0\n",
+                "split 0 is missing a group; dataset too small for fractions",
+                id="5 rows, too few to split",
+            ),
         ],
     )
     def test_train_data_errors_name_the_file(self, tmp_path, capsys, rows, message):
@@ -483,6 +488,49 @@ class TestCliCommands:
         assert cli.main(["postproc", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip()
         assert err == f"paretofair postproc: error: {data} has 1 feature(s) and labels 0..1, but {ckpt} {mismatch}"
+        assert not out.exists()
+
+    def test_postproc_split_of_a_small_csv_names_the_file(self, tmp_path, capsys):
+        data, ckpt, out = tmp_path / "tiny.csv", tmp_path / "model.ckpt", tmp_path / "out"
+        data.write_text("f0,target,group\n0.1,0,0\n0.2,1,0\n0.3,0,1\n0.4,1,1\n0.5,0,0\n")
+        save_checkpoint(MLPClassifier([1, 4, 2]), ckpt)
+        assert cli.main(["postproc", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 1
+        message = f"{data}: split 0 is missing a group; dataset too small for fractions"
+        assert capsys.readouterr().err.strip() == f"paretofair postproc: error: {message}"
+        assert not out.exists()
+
+    def test_split_of_a_small_draw_names_the_scenario(self, scenario_file, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "run"
+        cfg.write_text("n = 4\n")
+        # seed 2 draws both groups, so the draw passes and the split fails
+        argv = ["train", "--config", str(cfg), "--scenario", scenario_file, "--seed", "2", "--out", str(out)]
+        assert cli.main(argv) == 1
+        message = f"{scenario_file}: split 0 is missing a group; dataset too small for fractions"
+        assert capsys.readouterr().err.strip() == f"paretofair train: error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["naive", "paretofair"])
+    def test_synth_then_train_data_matches_train_scenario(self, method, scenario_file, tmp_path):
+        # synth draws through train's data step, so its CSV holds the rows train --scenario draws
+        cfg, data = tmp_path / "cfg.txt", tmp_path / "data.csv"
+        cfg.write_text("n = 700\nhidden = 4\nmax_epochs = 3\npatience = 1\nmax_outer_iters = 3\n")
+        assert cli.main(["synth", "--scenario", scenario_file, "--n", "700", "--seed", "5", "--out", str(data)]) == 0
+        runs = {"data": ["--data", str(data)], "scenario": ["--scenario", scenario_file]}
+        for name, source in runs.items():
+            argv = ["train", "--config", str(cfg), *source, "--method", method, "--seed", "5"]
+            assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+        files = ["model.ckpt", "metrics.csv"] + (["trace.csv"] if method == "paretofair" else [])
+        for f in files:
+            assert (tmp_path / "data" / f).read_bytes() == (tmp_path / "scenario" / f).read_bytes(), f
+
+    def test_postproc_needs_a_two_class_model(self, small_test_set, tmp_path, capsys):
+        # three output units take the data's labels 0..1, but the rule's coin draws from {0, 1}
+        data, ckpt, out = tmp_path / "data.csv", tmp_path / "model.ckpt", tmp_path / "out"
+        save_csv(small_test_set, data)
+        save_checkpoint(MLPClassifier([1, 4, 3]), ckpt)
+        assert cli.main(["postproc", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 1
+        message = f"{ckpt}: the rule needs a two-class model, got 3 classes"
+        assert capsys.readouterr().err.strip() == f"paretofair postproc: error: {message}"
         assert not out.exists()
 
     @pytest.mark.parametrize("n", [0, -5])

@@ -219,6 +219,11 @@ class TestGroupMeans:
         means, _ = group_means(np.array([True, False, True, True]), [0, 0, 1, 2], 3)
         assert np.array_equal(means, [0.5, 1.0, 1.0])
 
+    @pytest.mark.parametrize("num_groups", [2.5, True, 0, -1])
+    def test_num_groups_must_be_a_positive_integer(self, num_groups):
+        with pytest.raises(InputError, match=rf"^num_groups must be an integer >= 1, got {num_groups!r}$"):
+            group_means([1.0, 2.0], [0, 0], num_groups)
+
 
 class TestGroupRisks:
     def test_two_perfect_singletons(self):
