@@ -69,7 +69,6 @@ class PFHyperparams(TrainConfig):
     zeta: float = 0.85
     max_outer_iters: int = 80
     max_consecutive_rejects: int = 15
-    lr_min: float = 1e-6
 
     def __post_init__(self):
         super().__post_init__()
@@ -82,7 +81,6 @@ class PFHyperparams(TrainConfig):
         for name in ("max_outer_iters", "max_consecutive_rejects"):
             value = getattr(self, name)
             _check_field(self, name, _is_int(value) and value >= 1, "an integer >= 1")
-        _check_field(self, "lr_min", self.lr_min >= 0, "nonnegative")
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,8 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
     improves and no accepted risk vector dominates it. An accept moves ``c``
     to min risk / k and rescales the multipliers to mu*, which keeps each
     group's weight at the accepted risks; a reject restores mu* and decays
-    ``lr`` and the bump ``gamma``.
+    ``lr`` and the bump ``gamma``. The loop stops after ``max_outer_iters``
+    steps, or after ``max_consecutive_rejects`` rejects in a row.
     """
     mu = np.full(G, hp.mu_init)
     mu_star = mu.copy()
@@ -132,7 +131,7 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
         # the worst group's multiplier grows after rejected steps too
         mu[int(np.argmax(r))] *= 1.0 + gamma
         trace.append(TraceRow(it, accepted, lr, gamma, c, mu.copy(), r.copy(), gap))
-        if rejects >= hp.max_consecutive_rejects or lr < hp.lr_min:
+        if rejects >= hp.max_consecutive_rejects:
             break
     return best, trace
 
@@ -145,8 +144,6 @@ def pareto_fair_optimize(train: GroupedDataset, val: GroupedDataset, model: MLPC
     validation risks at the epoch it restores. The returned model carries
     the parameters of the last accepted step.
     """
-    if val.num_groups != train.num_groups:
-        raise InputError("validation set must contain every training group")
     # each step trains on a plain TrainConfig: no subclass check re-runs on seed + it
     inner = {f.name: getattr(hp, f.name) for f in fields(TrainConfig)}
 

@@ -102,6 +102,8 @@ def cmd_train(args) -> int:
     if empty is not None:
         raise InputError(f"{cfg.data or cfg.scenario}: class {empty} has no samples")
     train, val, test = _naming(cfg.data or cfg.scenario, split_dataset, ds, cfg.split, seed=cfg.seed)
+    if ds.num_classes < 2:
+        raise InputError(f"{cfg.data or cfg.scenario}: needs at least two classes")
     dims = [ds.dim, *cfg.hidden, ds.num_classes]
     model = MLPClassifier(dims, activation=cfg.activation, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)

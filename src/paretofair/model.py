@@ -247,13 +247,17 @@ def sgd_early_stop(
     parameters seen are restored at the end. Training stops once
     ``patience`` consecutive epochs bring no improvement, or at
     ``max_epochs``. Non-finite losses, as from a diverged model, raise
-    InputError at the minibatch that meets them, and a non-finite objective
-    at the epoch that gives it.
+    InputError at the minibatch that meets them, a non-finite objective at
+    the epoch that gives it, and sets that hold different groups at once.
 
     Returns (model, best_risks, epochs_run), where ``best_risks`` are the
     validation group risks of the restored epoch. The model is updated in
     place and also returned.
     """
+    G = train.num_groups
+    if val.num_groups != G:
+        raise InputError(f"the training and validation sets must hold the same groups: "
+                         f"training has {G}, validation {val.num_groups}")
     rng = np.random.default_rng(config.seed)
     n = train.n
     lr, bs, loss = config.lr, config.batch_size, config.loss
@@ -265,7 +269,6 @@ def sgd_early_stop(
         # bounds each row by its group's size, so the draws, and the generator
         # state after them, equal those of one rng.integers call per group per
         # batch.
-        G = train.num_groups
         n_batches, per = -(-n // bs), -(-bs // G)
         pool = np.argsort(train.groups, kind="stable")
         sizes = np.bincount(train.groups, minlength=G)

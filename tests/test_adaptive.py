@@ -74,8 +74,6 @@ class TestHyperparams:
             ("max_outer_iters", 0),
             ("max_outer_iters", 2.5),
             ("max_consecutive_rejects", 0),
-            ("lr_min", -1.0),
-            ("lr_min", float("nan")),
         ],
     )
     def test_out_of_range_setting_names_the_field(self, field, value):
@@ -234,6 +232,16 @@ class TestOuterLoopScripted:
         script = [[0.4, 0.2], [0.5, 0.1], [0.3, 0.25], [0.6, 0.1], [0.6, 0.1], [0.6, 0.1]]
         _, trace, _, _ = run_script(script, max_consecutive_rejects=2)
         assert accepted(trace) == [True, False, True, False, False]
+
+    def test_runs_every_step_while_no_reject_run_reaches_the_limit(self):
+        # 6 accepts, each followed by 14 rejects: 70 rejects in all decay lr
+        # below 1e-6, and only max_outer_iters = 80 stops the loop
+        accepts = [[0.5 - 0.05 * i, 0.1] for i in range(6)]
+        script = [row for a in accepts for row in [a] + [[0.9, 0.1]] * 14][:80]
+        _, trace, _, _ = run_script(script)
+        assert len(trace) == 80
+        assert [row.iteration for row in trace if row.accepted] == [0, 15, 30, 45, 60, 75]
+        assert trace[-1].lr < 1e-6
 
     @settings(deadline=None, max_examples=200)
     @given(st.integers(2, 3).flatmap(

@@ -11,7 +11,7 @@ from paretofair.baselines import (
     train_naive,
     train_rebalanced,
 )
-from paretofair.data import split_dataset
+from paretofair.data import GroupedDataset, split_dataset
 from paretofair.model import MLPClassifier, TrainConfig
 from paretofair.oracle import sample_dataset
 from paretofair.risk import InputError, group_means, group_risks
@@ -52,6 +52,18 @@ class TestTraining:
         naive, rebal, te = trained_pair
         assert np.all(_risks(naive, te) < 0.5)
         assert np.all(_risks(rebal, te) < 0.5)
+
+    @pytest.mark.parametrize("trainer", [train_naive, train_rebalanced])
+    @pytest.mark.parametrize(
+        "train_groups, val_groups", [(2, 1), (1, 2)], ids=["val lacks a group", "train lacks a group"]
+    )
+    def test_train_and_validation_must_hold_the_same_groups(self, trainer, train_groups, val_groups):
+        def dataset(G):
+            return GroupedDataset(features=np.linspace(0, 1, 40)[:, None], targets=np.arange(40) % 2,
+                                  groups=np.arange(40) // 2 % G)
+
+        with pytest.raises(InputError, match=f"same groups: training has {train_groups}, validation {val_groups}$"):
+            trainer(MLPClassifier([1, 2], seed=0), dataset(train_groups), dataset(val_groups), TrainConfig())
 
 
 class TestFitRule:

@@ -153,7 +153,7 @@ class TestCombineAndFormat:
 # every key a --config file may set: TrainConfig's, then PFHyperparams', then ExperimentConfig's own
 CONFIG_KEYS = {
     "lr", "batch_size", "max_epochs", "patience", "seed", "loss",
-    "mu_init", "k", "gamma0", "xi", "zeta", "max_outer_iters", "max_consecutive_rejects", "lr_min",
+    "mu_init", "k", "gamma0", "xi", "zeta", "max_outer_iters", "max_consecutive_rejects",
     "scenario", "data", "method", "hidden", "activation", "n", "split", "out",
 }
 
@@ -187,9 +187,11 @@ class TestConfig:
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("nonsense = 1\n")
-        with pytest.raises(ValueError, match="nonsense"):
-            cli.build_config(path, {})
+        # lr_min, a deleted outer-loop stop, is unknown too
+        for key, value in [("nonsense", "1"), ("lr_min", "1e-6")]:
+            path.write_text(f"{key} = {value}\n")
+            with pytest.raises(ValueError, match=re.escape(f"{path}:1: unknown key '{key}'")):
+                cli.build_config(path, {})
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -377,6 +379,11 @@ class TestCliCommands:
                 "0.1,0,0\n0.2,1,0\n0.3,0,1\n0.4,1,1\n0.5,0,0\n",
                 "split 0 is missing a group; dataset too small for fractions",
                 id="5 rows, too few to split",
+            ),
+            pytest.param(
+                "".join(f"{i / 300},0,{i % 2}\n" for i in range(300)),
+                "needs at least two classes",
+                id="300 rows of class 0",
             ),
         ],
     )
