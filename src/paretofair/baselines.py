@@ -7,7 +7,7 @@ import numpy as np
 
 from paretofair.data import GroupedDataset, write_table
 from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
-from paretofair.risk import InputError, _check_seed, _dense_groups, _labels, group_means
+from paretofair.risk import InputError, _check_seed, _labels, group_means
 
 
 def train_naive(model: MLPClassifier, train: GroupedDataset, val: GroupedDataset, config: TrainConfig):
@@ -43,13 +43,10 @@ def fit_equalizing_rule(correct, groups) -> np.ndarray:
     probability p and flipping a fair coin otherwise gives expected accuracy
     p * acc_a + (1 - p) / 2, so p_a = (t - 1/2) / (acc_a - 1/2).
     """
-    correct = _labels(correct, "correct", bound=2)
-    groups = _dense_groups(groups, len(correct))
-    G = int(groups.max()) + 1
-    acc, _ = group_means(correct, groups, G)
+    acc, _ = group_means(_labels(correct, "correct", bound=2), groups)
     target = float(acc.min())
     if float(acc.max()) - target < 1e-12:
-        return np.ones(G)  # already equal
+        return np.ones(len(acc))  # already equal
     if target <= 0.5:
         raise InfeasibleRuleError(f"group {int(acc.argmin())} accuracy {target:.3f} is not above chance; "
                                   "coin-flip mixing cannot equalize below 0.5")

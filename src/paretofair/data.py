@@ -109,6 +109,8 @@ def read_table(path, parse_header):
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
+                if fh.read(1) != "\ufeff":  # start past a leading byte-order mark
+                    fh.seek(0)
                 header = next(reader, None)
                 if header is None:
                     raise InputError(f"{path}: empty file")
@@ -256,8 +258,8 @@ def load_key_values(path, cls):
     defaults = {f.name: f.default for f in fields(cls)}
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, encoding="utf-8") as fh:  # newlines read as "\n"
+            lines = fh.read().removeprefix("\ufeff").split("\n")  # past a leading byte-order mark
     except UnicodeDecodeError:
         raise _undecodable(path) from None
     for lineno, raw in enumerate(lines, start=1):

@@ -126,8 +126,8 @@ def make_scenario(params: ScenarioParams = ScenarioParams()) -> ScenarioSpec:
 def save_scenario(params: ScenarioParams, path):
     with open(path, "w") as fh:
         for f in fields(params):
-            value = getattr(params, f.name)
-            text = ",".join(repr(float(v)) for v in value) if isinstance(value, tuple) else repr(value)
+            value = np.asarray(getattr(params, f.name)).tolist()  # numpy scalars and arrays as plain numbers
+            text = ",".join(repr(float(v)) for v in value) if isinstance(value, list) else repr(value)
             fh.write(f"{f.name} = {text}\n")
 
 

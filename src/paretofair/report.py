@@ -42,7 +42,7 @@ def compute_metrics(probs, test: GroupedDataset, method: str) -> MethodMetrics:
 def metrics_from_decisions(decisions, test: GroupedDataset, brier, method: str) -> MethodMetrics:
     """Metrics where decisions come from a (possibly randomized) rule."""
     decisions = _labels(decisions, "decisions", test.n)
-    acc, counts = group_means(decisions == test.targets, test.groups, test.num_groups)
+    acc, counts = group_means(decisions == test.targets, test.groups)
     return MethodMetrics(
         method=method,
         ratios=counts / counts.sum(),

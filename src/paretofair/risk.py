@@ -113,31 +113,21 @@ def sample_losses(probs: np.ndarray, targets: np.ndarray, loss: str = "brier") -
     return _losses_and_grads(probs, _labels(targets, "targets", n, C), loss)[0]
 
 
-def group_means(values, groups, num_groups: int):
-    """Mean of ``values`` per group id 0..num_groups-1, and the sample counts.
+def group_means(values, groups):
+    """Mean of ``values`` per group id 0..max(groups), and the sample counts.
 
-    ``groups`` holds one id in [0, num_groups) per value. Returns (means,
-    counts); an empty group gets mean 0 and count 0.
+    ``groups`` holds one id per value, and every id up to the largest must be
+    present, or InputError ``group k has no samples``. Returns (means, counts).
     """
-    if not (_is_int(num_groups) and num_groups >= 1):
-        raise InputError(f"num_groups must be an integer >= 1, got {num_groups!r}")
     values = np.asarray(values, dtype=float)
-    groups = _labels(groups, "groups", len(values), num_groups)
-    means = np.zeros(num_groups)
-    counts = np.zeros(num_groups, dtype=int)
-    for a in range(num_groups):
-        mask = groups == a
-        counts[a] = int(mask.sum())
-        if counts[a]:
-            means[a] = values[mask].mean()
-    return means, counts
+    groups = _dense_groups(groups, len(values))
+    means = np.array([values[groups == a].mean() for a in range(int(groups.max()) + 1)])
+    return means, np.bincount(groups)
 
 
 def group_risks(probs: np.ndarray, targets, groups, loss: str = "brier") -> np.ndarray:
-    """Mean loss per group, a float array of length G; every group id up to max(groups) must be present."""
-    losses = sample_losses(probs, targets, loss)
-    groups = _dense_groups(groups, len(losses))
-    return group_means(losses, groups, int(groups.max()) + 1)[0]
+    """Mean loss per group, a float array of length max(groups) + 1; every group id up to it must be present."""
+    return group_means(sample_losses(probs, targets, loss), groups)[0]
 
 
 def max_gap(r) -> float:

@@ -123,7 +123,7 @@ class TestFitRule:
             G = int(rng.integers(1, 5))
             groups = np.r_[np.arange(G), rng.integers(0, G, 40)]
             correct = (rng.random(len(groups)) < rng.uniform(0.5, 1.0, G)[groups]).astype(int)
-            acc, _ = group_means(correct, groups, G)
+            acc, _ = group_means(correct, groups)
             target, equal = acc.min(), acc.max() - acc.min() < 1e-12
             if target <= 0.5 and not equal:
                 continue  # infeasible

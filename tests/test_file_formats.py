@@ -114,6 +114,8 @@ def reference_read_table(path, parse_header):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
+            if fh.read(1) != "\ufeff":  # a leading byte-order mark is skipped
+                fh.seek(0)
             header = next(reader, None)
             if header is None:
                 raise InputError(f"{path}: empty file")
@@ -376,3 +378,45 @@ def test_bytes_that_are_not_utf8_name_the_line(tmp_path, load, text):
     path.write_bytes(text)
     with pytest.raises(InputError, match=r"bad\.txt:2: 'utf-8' codec can't decode"):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "load",
+    [load_csv, load_metrics_csv, lambda p: cli.build_config(p, {}), load_scenario],
+    ids=["dataset", "metrics", "config", "scenario"],
+)
+def test_a_cut_off_byte_order_mark_is_not_utf8(tmp_path, load):
+    path = tmp_path / "bad.txt"
+    for text in (b"\xef", b"\xef\xbb"):  # the first bytes of the mark, and nothing after them
+        path.write_bytes(text)
+        with pytest.raises(InputError, match=r"bad\.txt:1: 'utf-8' codec can't decode"):
+            load(path)
+
+
+def _dataset_bits(ds):
+    return ds.features.tobytes(), ds.targets.tolist(), ds.groups.tolist()
+
+
+METRICS_TEXT = "".join(
+    f"{line}\n"
+    for line in [",".join(_HEADER), "naive,g0,0.75,0.9,0.1,3", "naive,g1,0.25,0.95,0.05,1"]
+    + [f"naive,{name},,0.8,0.2," for name in SUMMARY_ROWS]
+)
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (lambda p: _dataset_bits(load_csv(p)), "f0,f1,target,group\n0.5,-1.25,1,0\n2.0,0.1,0,1\n"),
+        (load_metrics_csv, METRICS_TEXT),
+        (lambda p: cli.build_config(p, {}), "n = 500\nhidden = 8,4\nmethod = naive # comment\n"),
+        (load_scenario, "grid_points = 11\npriors = 0.6,0.4\n"),
+    ],
+    ids=["dataset", "metrics", "config", "scenario"],
+)
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, load, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")  # the same text after the mark EF BB BF
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load(marked) == load(plain)

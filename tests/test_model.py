@@ -573,7 +573,7 @@ def reference_stratified_sgd(model, train, val, objective, weight_rule, cfg):
         for _ in range(-(-train.n // cfg.batch_size)):
             idx = np.concatenate([g[rng.integers(0, len(g), size=per)] for g in group_indices])
             X, y, a = train.features[idx], train.targets[idx], train.groups[idx]
-            r_hat, _counts = group_means(sample_losses(model.forward(X), y, loss), a, G)
+            r_hat, _counts = group_means(sample_losses(model.forward(X), y, loss), a)
             w = np.asarray(weight_rule(r_hat))[a]
             gW, gb = weighted_grad(model, X, y, w, loss)
             for W, g in zip(model.weights, gW):
@@ -630,7 +630,7 @@ class TestStratifiedSgd:
 
             block = _block_weights(rule, G, per, losses)
             rows = np.repeat(groups, per)
-            masked = np.asarray(rule(group_means(losses, rows, G)[0]))[rows]
+            masked = np.asarray(rule(group_means(losses, rows)[0]))[rows]
             assert seen[0].tobytes() == seen[1].tobytes()
             assert block.tobytes() == masked.tobytes()
 

@@ -94,6 +94,24 @@ class TestScenarioFile:
         back = load_scenario(path)
         assert back == params
 
+    @pytest.mark.parametrize(
+        "given, plain",
+        [
+            (
+                dict(transition_center=np.float64(0.6), grid_points=np.int64(201)),
+                dict(transition_center=0.6, grid_points=201),
+            ),
+            (dict(priors=np.array([0.6, 0.4]), rho_low=[0.1, 0.3]), dict(priors=(0.6, 0.4), rho_low=(0.1, 0.3))),
+        ],
+        ids=["numpy scalars", "an array and a list"],
+    )
+    def test_numpy_values_and_lists_are_written_as_plain_numbers(self, tmp_path, given, plain):
+        path, plain_path = tmp_path / "scenario.txt", tmp_path / "plain.txt"
+        save_scenario(ScenarioParams(**given), path)
+        save_scenario(ScenarioParams(**plain), plain_path)
+        assert path.read_bytes() == plain_path.read_bytes()
+        assert load_scenario(path) == ScenarioParams(**plain)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("bogus = 1\n")

@@ -13,6 +13,7 @@ from paretofair.data import GroupedDataset, load_csv, save_csv, split_dataset
 from paretofair.model import MLPClassifier, TrainConfig, load_checkpoint, save_checkpoint
 from paretofair.oracle import ScenarioParams, sample_dataset, save_scenario
 from paretofair.report import (
+    SUMMARY_ROWS,
     combine_reports,
     compute_metrics,
     format_table,
@@ -569,6 +570,27 @@ class TestCliCommands:
         method, groups, _ = load_metrics_csv(out / "metrics.csv")
         assert method == "paretofair"
         assert list(groups) == ["g0", "g1", "g2"]
+
+        # the data, postproc and report paths on three groups
+        data = tmp_path / "data.csv"
+        assert cli.main(["synth", "--scenario", str(scenario), "--n", "3000", "--seed", "1", "--out", str(data)]) == 0
+        naive = tmp_path / "naive"
+        assert cli.main([
+            "train", "--config", str(cfg), "--data", str(data), "--method", "naive", "--seed", "0", "--out", str(naive),
+        ]) == 0
+        post = tmp_path / "post"
+        assert cli.main([
+            "postproc", "--checkpoint", str(naive / "model.ckpt"), "--data", str(data), "--out", str(post),
+        ]) == 0
+        with open(post / "rule.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["group", "0", "1", "2"]
+        metrics = [out / "metrics.csv", naive / "metrics.csv", post / "metrics_pre.csv", post / "metrics_post.csv"]
+        combined = tmp_path / "combined.csv"
+        assert cli.main(["report", *map(str, metrics), "--out", str(combined)]) == 0
+        rows = ["g0", "g1", "g2", *SUMMARY_ROWS]
+        for path, column in [*((p, 1) for p in metrics), (combined, 0)]:
+            with open(path, newline="") as fh:
+                assert [row[column] for row in csv.reader(fh)][1:] == rows
 
     def test_report_no_inputs_fails(self, capsys):
         assert cli.main(["report"]) == 1

@@ -171,7 +171,7 @@ _TEST = GroupedDataset(features=_X, targets=[0, 1, 0, 1], groups=[0, 1, 0, 1])
 LABEL_ENTRY_POINTS = {
     "sample_losses": ("targets", [0, 1, 0, 1], 2, lambda v: sample_losses(_P, v)),
     "weighted_grad": ("targets", [0, 1, 0, 1], 2, lambda v: weighted_grad(MLPClassifier([1, 2]), _X, v, np.ones(4))),
-    "group_means": ("groups", [0, 1, 0, 1], 2, lambda v: group_means([1.0, 2.0, 3.0, 4.0], v, 2)),
+    "group_means": ("groups", [0, 1, 0, 1], 2**53, lambda v: group_means([1.0, 2.0, 3.0, 4.0], v)),
     "group_risks": ("groups", [0, 1, 0, 1], 2**53, lambda v: group_risks(_P, [0, 1, 0, 1], v)),
     "fit_equalizing_rule": ("groups", [0, 1, 0, 1], 2**53, lambda v: fit_equalizing_rule([1, 1, 1, 1], v)),
     "apply_rule": ("groups", [0, 1, 0, 1], 2, lambda v: apply_rule([1.0, 0.5], [0, 1, 0, 1], v)),
@@ -206,23 +206,28 @@ class TestLabelEntryPoints:
 
 class TestGroupMeans:
     def test_three_groups_by_hand(self):
-        means, counts = group_means([1.0, 2.0, 4.0, 0.5, 0.25], [2, 0, 0, 1, 2], 3)
+        means, counts = group_means([1.0, 2.0, 4.0, 0.5, 0.25], [2, 0, 0, 1, 2])
         assert np.array_equal(means, [3.0, 0.5, 0.625])
         assert np.array_equal(counts, [2, 1, 2])
 
-    def test_empty_group_gets_zero(self):
-        means, counts = group_means([0.3, 0.9], [0, 2], 4)
-        assert np.array_equal(means, [0.3, 0.0, 0.9, 0.0])
-        assert np.array_equal(counts, [1, 0, 1, 0])
+    @pytest.mark.parametrize("G", [1, 2, 3, 4, 5])
+    def test_masked_means_bitwise_and_bincount_counts(self, G):
+        rng = np.random.default_rng(G)
+        for _ in range(50):
+            groups = rng.permutation(np.r_[np.arange(G), rng.integers(0, G, int(rng.integers(0, 60)))])
+            values = rng.uniform(0, 2, len(groups)) * 10.0 ** rng.integers(-8, 1, len(groups))
+            means, counts = group_means(values, groups)
+            expected = np.array([values[groups == a].mean() for a in range(G)])
+            assert means.dtype == np.float64 and means.tobytes() == expected.tobytes()
+            assert np.array_equal(counts, np.bincount(groups))
+
+    def test_absent_group_is_an_error(self):
+        with pytest.raises(InputError, match="^group 1 has no samples$"):
+            group_means([0.3, 0.9], [0, 2])
 
     def test_booleans_average_to_rates(self):
-        means, _ = group_means(np.array([True, False, True, True]), [0, 0, 1, 2], 3)
+        means, _ = group_means(np.array([True, False, True, True]), [0, 0, 1, 2])
         assert np.array_equal(means, [0.5, 1.0, 1.0])
-
-    @pytest.mark.parametrize("num_groups", [2.5, True, 0, -1])
-    def test_num_groups_must_be_a_positive_integer(self, num_groups):
-        with pytest.raises(InputError, match=rf"^num_groups must be an integer >= 1, got {num_groups!r}$"):
-            group_means([1.0, 2.0], [0, 0], num_groups)
 
 
 class TestGroupRisks:
