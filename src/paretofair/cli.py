@@ -101,10 +101,11 @@ def cmd_train(args) -> int:
     empty = _first_empty(ds.targets)
     if empty is not None:
         raise InputError(f"{cfg.data or cfg.scenario}: class {empty} has no samples")
-    train, val, test = _naming(cfg.data or cfg.scenario, split_dataset, ds, cfg.split, seed=cfg.seed)
-    if ds.num_classes < 2:
-        raise InputError(f"{cfg.data or cfg.scenario}: needs at least two classes")
     dims = [ds.dim, *cfg.hidden, ds.num_classes]
+    train, val, test = _naming(cfg.data or cfg.scenario, split_dataset, ds, cfg.split, seed=cfg.seed)
+    del ds  # the splits hold copies of its rows
+    if dims[-1] < 2:
+        raise InputError(f"{cfg.data or cfg.scenario}: needs at least two classes")
     model = MLPClassifier(dims, activation=cfg.activation, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     if cfg.method == "naive":
@@ -132,6 +133,7 @@ def cmd_postproc(args) -> int:
     if model.num_classes != 2:  # the rule mixes each decision with a fair coin over {0, 1}
         raise InputError(f"{args.checkpoint}: the rule needs a two-class model, got {model.num_classes} classes")
     fit_set, holdout = _naming(args.data, split_dataset, ds, (0.5, 0.5), seed=args.seed)
+    del ds  # the halves hold copies of its rows
     decisions = model.decisions(fit_set.features)
     keep_prob = baselines.fit_equalizing_rule(decisions == fit_set.targets, fit_set.groups)
     os.makedirs(args.out, exist_ok=True)

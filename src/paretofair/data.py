@@ -57,37 +57,46 @@ class GroupedDataset:
         )
 
 
+# rows per block of a CSV file read, parsed, formatted or written: large
+# enough that the per-block calls cost nothing, small enough that a block's
+# strings stay in cache
+_BLOCK_ROWS = 2048
+
+
 def write_table(path, header, columns):
     """Write a CSV file: the ``header`` row, then the rows of ``columns``.
 
     ``columns`` yields one sequence per header entry, all of one length;
     anything else raises ValueError before the file is opened. A caller that
     builds rows passes ``zip(*rows, strict=True)``, so rows of unequal length
-    raise too.
-
-    The one place a float cell is formatted: ``repr(float(v))`` for every
-    float (numpy floats too), which reads back bit-identical; a float64 array
-    is formatted whole, through ``tolist``. Other cells use ``str``.
+    raise too. Rows are formatted and written ``_BLOCK_ROWS`` at a time, so
+    the writer holds the strings of one block, whatever the table's length.
     """
     columns = list(columns)
     lengths = sorted({len(col) for col in columns})
     if len(columns) != len(header) or len(lengths) > 1:
         raise ValueError(f"a header of {len(header)} names over {len(columns)} columns of lengths {lengths}")
-    cells = [
-        map(repr, col.tolist())
-        if isinstance(col, np.ndarray) and col.dtype == np.float64
-        else [repr(float(v)) if isinstance(v, float) else v for v in col]
-        for col in columns
-    ]
+    n = lengths[0] if lengths else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(zip(*cells))
+        for start in range(0, n, _BLOCK_ROWS):
+            w.writerows(zip(*(_cells(col[start:start + _BLOCK_ROWS]) for col in columns)))
 
 
-# rows read and parsed per block: large enough that the per-block calls cost
-# nothing, small enough that a block's strings stay in cache
-_BLOCK_ROWS = 2048
+def _cells(col):
+    """The cells of a block of one column, as ``csv`` is to write them.
+
+    The one place a float cell is formatted: ``repr(float(v))`` for every
+    float (numpy floats too), which reads back bit-identical; a float64 array
+    goes through ``tolist`` and ``repr``, and an integer array through
+    ``tolist``. Other cells are written by ``csv`` as ``str`` gives them.
+    """
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return map(repr, col.tolist())
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return col.tolist()
+    return [repr(float(v)) if isinstance(v, float) else v for v in col]
 
 
 def read_table(path, parse_header):
@@ -168,7 +177,7 @@ def _undecodable(path):
 def save_csv(dataset: GroupedDataset, path):
     """Write a dataset as CSV with columns f0..f{d-1}, target, group."""
     header = [f"f{i}" for i in range(dataset.dim)] + ["target", "group"]
-    write_table(path, header, [*dataset.features.T, dataset.targets.tolist(), dataset.groups.tolist()])
+    write_table(path, header, [*dataset.features.T, dataset.targets, dataset.groups])
 
 
 def load_csv(path) -> GroupedDataset:

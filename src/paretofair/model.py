@@ -147,21 +147,22 @@ class MLPClassifier:
     def forward(self, X) -> np.ndarray:
         """Class probabilities, one simplex row per input row.
 
-        Fewer than 16,384 rows take one ``_forward_cached`` call. More are
-        scored in blocks of 8,192 rows, the last taking the remainder (8,192
-        to 16,383 rows), into one (n, C) output. Each call keeps no
+        n rows are scored in k = max(1, n // 8,192) near-equal blocks, block
+        i taking rows ``n * i // k`` to ``n * (i + 1) // k``: fewer than
+        16,384 rows take one ``_forward_cached`` call, and more take blocks of
+        8,192 to 12,287 rows, into one (n, C) output. Each call keeps no
         activation beyond the layer being computed, so a forward pass holds
-        at most two hidden activations of at most 16,383 rows each, besides
-        the output.
+        at most two hidden activations of at most 16,383 rows each (12,287
+        once n reaches 16,384), besides the output.
         """
         X = self._check_input(X)
         n = X.shape[0]
-        if n < 2 * _FORWARD_BLOCK:
+        k = max(1, n // _FORWARD_BLOCK)
+        if k == 1:
             return self._forward_cached(X)
         out = np.empty((n, self.num_classes))
-        last = n - n % _FORWARD_BLOCK - _FORWARD_BLOCK
-        for start in range(0, last + 1, _FORWARD_BLOCK):
-            stop = n if start == last else start + _FORWARD_BLOCK
+        bounds = [n * i // k for i in range(k + 1)]
+        for start, stop in zip(bounds, bounds[1:]):
             out[start:stop] = self._forward_cached(X[start:stop])
         return out
 

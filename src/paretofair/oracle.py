@@ -259,7 +259,10 @@ def sample_dataset(spec: ScenarioSpec, n: int, seed: int = 0) -> GroupedDataset:
             raise InputError(f"group {a} has no samples in a draw of {n}")
         bins[mask] = rng.choice(B, size=int(mask.sum()), p=spec.density[a])
     h = float(spec.grid[1] - spec.grid[0])
-    x = spec.grid[bins] + rng.uniform(-0.5, 0.5, size=n) * h
+    # grid[bins] + u * h, built in place: IEEE addition commutes, so the bits are the same
+    x = rng.uniform(-0.5, 0.5, size=n)
+    x *= h
+    x += spec.grid[bins]
     y = (rng.random(n) < spec.eta[groups, bins]).astype(int)
     return GroupedDataset(features=x[:, None], targets=y, groups=groups)
 

@@ -4,6 +4,7 @@ result or an InputError that names the file."""
 import csv
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -304,26 +305,61 @@ QUOTED = st.sampled_from([",", '"', "\n", "", "a,b", 'say "hi"', "two\nlines", "
 CELLS = FLOATS | FLOATS.map(np.float64) | st.integers() | st.integers(-(2**63), 2**63 - 1).map(np.int64) | QUOTED
 
 
+INTEGER_DTYPES = st.sampled_from([np.int8, np.int64, np.uint64])
+TEXT = QUOTED | st.text(st.characters(blacklist_categories=("Cs",)))  # surrogates do not encode
+
+
 @st.composite
 def tables(draw):
-    """Columns of one length: float64 arrays, or lists of any cells."""
-    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    """Columns of one length: float64 or integer arrays, or lists of any cells or of strings."""
+    n, k = draw(st.integers(0, 7)), draw(st.integers(1, 4))
     columns = []
     for _ in range(k):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["float64", "integer", "cells", "str"]))
+        if kind == "float64":
             columns.append(np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float))
+        elif kind == "integer":
+            dtype = np.dtype(draw(INTEGER_DTYPES))
+            ints = st.integers(int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+            columns.append(np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=dtype))
         else:
-            columns.append(draw(st.lists(CELLS, min_size=n, max_size=n)))
+            columns.append(draw(st.lists(CELLS if kind == "cells" else TEXT, min_size=n, max_size=n)))
     return columns
 
 
+# blocks of 1, 2 and 3 rows put block edges inside tables of up to 7 rows
+@pytest.mark.parametrize("block_rows", [1, 2, 3, _BLOCK_ROWS])
 @FILE_SETTINGS
-@given(tables())
-def test_column_writer_matches_the_row_writer(tmp_path, columns):
+@given(columns=tables())
+def test_column_writer_matches_the_row_writer(tmp_path, block_rows, columns):
     header = [f"c{j}" for j in range(len(columns))]
-    write_table(tmp_path / "new.csv", header, columns)
+    with mock.patch("paretofair.data._BLOCK_ROWS", block_rows):
+        write_table(tmp_path / "new.csv", header, columns)
     reference_write_table(tmp_path / "ref.csv", header, zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_a_float32_array_keeps_the_str_of_each_cell(tmp_path):
+    # not tolist: that widens each cell to float64, whose repr of 0.1 is 0.10000000149011612
+    col = np.array([0.1, 1 / 3, -0.0, 1e-45, 3.4e38, np.inf, np.nan], dtype=np.float32)
+    with mock.patch("paretofair.data._BLOCK_ROWS", 3):
+        write_table(tmp_path / "t.csv", ["x"], [col])
+    assert (tmp_path / "t.csv").read_text().split() == ["x", *map(str, col)]
+
+
+def test_save_csv_holds_one_block_whatever_the_row_count(tmp_path):
+    peaks = []
+    for n in (20_000, 200_000):
+        rng = np.random.default_rng(0)
+        ds = GroupedDataset(features=rng.standard_normal((n, 1)), targets=rng.integers(0, 2, n),
+                            groups=np.arange(n) % 2)
+        tracemalloc.start()
+        try:
+            save_csv(ds, tmp_path / "d.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] == pytest.approx(peaks[0], rel=0.1), f"peaks {peaks[0]} and {peaks[1]} bytes"
 
 
 @pytest.mark.parametrize("write", [

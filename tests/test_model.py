@@ -359,7 +359,7 @@ class TestLayerLoop:
     def test_forward_holds_at_most_two_hidden_activations(self, activation):
         m = MLPClassifier([1, 64, 64, 2], activation=activation, seed=0)
         X = np.random.default_rng(0).standard_normal((100_000, 1))
-        hidden_bytes = 16_383 * 64 * 8  # one activation of the largest block
+        hidden_bytes = 8_334 * 64 * 8  # one activation of the largest block: 100,000 rows in 12 blocks
         tracemalloc.start()
         try:
             m.forward(X)
@@ -376,8 +376,8 @@ class TestLayerLoop:
         m = MLPClassifier(dims, activation=activation, seed=0)
         for b in m.biases:
             b[...] = rng.standard_normal(b.shape)
-        X = rng.standard_normal((40_000, dims[0]))
-        want = {n: m._forward_cached(X[:n]) for n in (16_383, 16_384, 16_385, 40_000)}
+        X = rng.standard_normal((100_000, dims[0]))
+        want = {n: m._forward_cached(X[:n]) for n in (16_383, 16_384, 16_385, 40_000, 100_000)}
         rows = []
         one_call = MLPClassifier._forward_cached
 
@@ -388,8 +388,8 @@ class TestLayerLoop:
         monkeypatch.setattr(MLPClassifier, "_forward_cached", counted)
         for n, probs in want.items():
             assert m.forward(X[:n]).tobytes() == probs.tobytes()
-        # blocks of 8,192 rows, the last taking the remainder
-        assert rows == [16_383, 8_192, 8_192, 8_192, 8_193, 8_192, 8_192, 8_192, 15_424]
+        # n // 8,192 near-equal blocks, block i ending at row n * (i + 1) // k
+        assert rows == [16_383, 8_192, 8_192, 8_192, 8_193, *[10_000] * 4, *[8_333, 8_333, 8_334] * 4]
 
 
 def separable_dataset(n=40, seed=0):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import paretofair
 from paretofair import cli, oracle
-from paretofair.data import split_dataset
+from paretofair.data import GroupedDataset, split_dataset
 from paretofair.oracle import (
     ScenarioParams,
     ScenarioSpec,
@@ -221,6 +221,44 @@ class TestSampling:
                     continue
                 emp = ds.targets[mask].mean()
                 assert abs(emp - acceptance_spec.eta[a, b]) < 0.05
+
+
+def replayed_sample(spec, n, seed):
+    """``sample_dataset``'s draws, with the jitter built out of place: ``grid[bins] + u * h``."""
+    rng = np.random.default_rng(seed)
+    G, B = spec.density.shape
+    groups = rng.choice(G, size=n, p=spec.priors)
+    bins = np.zeros(n, dtype=int)
+    for a in range(G):
+        mask = groups == a
+        if not mask.any():
+            raise InputError(f"group {a} has no samples in a draw of {n}")
+        bins[mask] = rng.choice(B, size=int(mask.sum()), p=spec.density[a])
+    h = float(spec.grid[1] - spec.grid[0])
+    x = spec.grid[bins] + rng.uniform(-0.5, 0.5, size=n) * h
+    y = (rng.random(n) < spec.eta[groups, bins]).astype(int)
+    return GroupedDataset(features=x[:, None], targets=y, groups=groups)
+
+
+@pytest.mark.parametrize("params", [
+    ScenarioParams(priors=(1.0,), rho_low=(0.3,), rho_high=(0.7,), density_centers=(0.5,), density_widths=(0.2,)),
+    ScenarioParams(),
+    THREE_GROUP_PARAMS,
+], ids=["G=1", "G=2", "G=3"])
+@pytest.mark.parametrize("n", [1, 50_000])
+def test_in_place_jitter_keeps_the_bits_of_the_out_of_place_sum(params, n):
+    spec = make_scenario(params)
+    try:
+        want = replayed_sample(spec, n, seed=7)
+    except InputError as exc:
+        # a one-row draw misses a group once there are two: both raise the same error
+        assert n == 1 and spec.num_groups > 1
+        with pytest.raises(InputError, match=f"^{exc}$"):
+            sample_dataset(spec, n, seed=7)
+        return
+    got = sample_dataset(spec, n, seed=7)
+    for a, b in [(got.features, want.features), (got.targets, want.targets), (got.groups, want.groups)]:
+        assert a.tobytes() == b.tobytes()
 
 
 class TestExactRisks:

@@ -1,5 +1,6 @@
 import csv
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -530,6 +531,27 @@ class TestCliCommands:
         files = ["model.ckpt", "metrics.csv"] + (["trace.csv"] if method == "paretofair" else [])
         for f in files:
             assert (tmp_path / "data" / f).read_bytes() == (tmp_path / "scenario" / f).read_bytes(), f
+
+    def test_train_and_postproc_peak_memory_on_200k_rows(self, scenario_file, tmp_path):
+        # neither command holds the whole dataset past its split, and inference scores
+        # blocks of at most 12,287 rows
+        cfg, data = tmp_path / "one.cfg", tmp_path / "data.csv"
+        cfg.write_text("max_epochs = 1\npatience = 1\n")
+        assert cli.main(["synth", "--scenario", scenario_file, "--n", "200000", "--out", str(data)]) == 0
+        runs = [
+            (["train", "--config", str(cfg), "--data", str(data), "--method", "naive", "--out", str(tmp_path / "run")],
+             22e6),  # measured 19.8 MB
+            (["postproc", "--checkpoint", str(tmp_path / "run" / "model.ckpt"), "--data", str(data),
+              "--out", str(tmp_path / "post")], 18e6),  # measured 15.8 MB
+        ]
+        for argv, bound in runs:
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, f"{argv[0]} peaked at {peak / 1e6:.1f} MB"
 
     def test_postproc_needs_a_two_class_model(self, small_test_set, tmp_path, capsys):
         # three output units take the data's labels 0..1, but the rule's coin draws from {0, 1}
