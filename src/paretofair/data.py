@@ -23,7 +23,7 @@ class GroupedDataset:
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=float)
-        if X.ndim != 2 or X.shape[0] < 1:
+        if X.ndim != 2 or X.size == 0:
             raise InputError("features must be a nonempty n x d matrix")
         if not np.all(np.isfinite(X)):
             raise InputError("features contain non-finite values")
@@ -110,8 +110,8 @@ def read_table(path, parse_header):
     the file. A parser may therefore see rows a second time, and it must
     raise for a one-row block exactly when that row is bad. An empty file, a
     row whose field count differs from the header's, bytes that are not
-    UTF-8, or a ValueError from either function raise InputError naming
-    ``path:line``.
+    UTF-8, or a ValueError or OverflowError from either function raise
+    InputError naming ``path:line``.
     """
     error = None
     for block_rows in (_BLOCK_ROWS, 1):
@@ -136,7 +136,7 @@ def read_table(path, parse_header):
                 raise
             except UnicodeDecodeError:
                 error = _undecodable(path)
-            except (ValueError, csv.Error) as exc:
+            except (ValueError, OverflowError, csv.Error) as exc:
                 error = InputError(f"{path}:{reader.line_num}: {exc}")
     # the one-row pass names the first bad row; if it finds none, the parser
     # breaks the contract above and the error of the first pass stands
@@ -193,28 +193,28 @@ def load_csv(path) -> GroupedDataset:
         feat_cols = [c for c in header if c not in ("target", "group")]
         if feat_cols != [f"f{i}" for i in range(len(feat_cols))]:
             raise ValueError(f"feature columns must be f0..f{len(feat_cols)-1}, got {feat_cols}")
-        fi = [header.index(c) for c in feat_cols]
-        ti, gi = header.index("target"), header.index("group")
-        k = len(header)
+        columns = [header.index(c) for c in [*feat_cols, "target", "group"]]
+        d, k = len(feat_cols), len(header)
 
         def parse_block(rows):
-            # one conversion per column of the flattened block, features first,
-            # then target, then group: a one-row block fails on the cell that
-            # a parse of that row alone would fail on
+            # one conversion per column: float per feature, then int for target
+            # and group, kept as float64 for GroupedDataset's check; a one-row
+            # block fails on the cell that a parse of that row alone fails on
             flat = list(chain.from_iterable(rows))
-            features = np.empty((len(rows), len(fi)))
-            for j, col in enumerate(fi):
-                features[:, j] = np.fromiter(map(float, flat[col::k]), float, len(rows))
-            return features, list(map(int, flat[ti::k])), list(map(int, flat[gi::k]))
+            features, labels = np.empty((len(rows), d)), np.empty((2, len(rows)))
+            for j, (out, col) in enumerate(zip([*features.T, *labels], columns)):
+                out[:] = np.fromiter(map(float if j < d else int, flat[col::k]), float, len(rows))
+            return features, labels
 
         return parse_block
 
     blocks = read_table(path, parse_header)
     if not blocks:
         raise InputError(f"{path}: no data rows")
-    features, targets, groups = zip(*blocks)
-    targets, groups = list(chain.from_iterable(targets)), list(chain.from_iterable(groups))
-    return _naming(path, GroupedDataset, np.concatenate(features), targets, groups)
+    features = np.concatenate([block[0] for block in blocks])
+    targets, groups = np.concatenate([block[1] for block in blocks], axis=1)
+    del blocks  # so the labels' conversion holds one copy of the table
+    return _naming(path, GroupedDataset, features, targets, groups)
 
 
 def _fractions_ok(fractions) -> bool:

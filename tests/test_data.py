@@ -23,6 +23,10 @@ class TestGroupedDataset:
         with pytest.raises(InputError, match="non-finite"):
             GroupedDataset(features=[[np.nan]], targets=[0], groups=[0])
 
+    def test_features_need_a_column(self):
+        with pytest.raises(InputError, match="^features must be a nonempty n x d matrix$"):
+            GroupedDataset(features=np.zeros((3, 0)), targets=[0, 1, 0], groups=[0, 0, 0])
+
     def test_missing_group_rejected(self):
         with pytest.raises(InputError, match="group 0"):
             GroupedDataset(features=[[1.0]], targets=[0], groups=[1])

@@ -82,11 +82,11 @@ def returns_or_names_the_file(load, path, data):
         assert str(exc).startswith(str(path))
 
 
-# rows as wide as the prefix's header, of numbers and awkward values, to get
-# past the header and the field counts into the row parsers and the checks
-# after them
+# rows as wide as the prefix's header, of numbers and awkward values (among
+# them an integer too large for a float), to get past the header and the
+# field counts into the row parsers and the checks after them
 CELL = st.integers(-1, 3).map(str) | st.floats().map(repr)
-CELL |= st.sampled_from(["0.5", "1e400", "nan", "99999999999999999999", "", "x"])
+CELL |= st.sampled_from(["0.5", "1e400", "nan", "99999999999999999999", "9" * 400, "", "x"])
 
 
 def after(prefix):
@@ -130,7 +130,7 @@ def reference_read_table(path, parse_header):
             raise _undecodable(path) from None
         except InputError:
             raise
-        except (ValueError, csv.Error) as exc:
+        except (ValueError, OverflowError, csv.Error) as exc:
             raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
 
@@ -150,7 +150,8 @@ def reference_load_csv(path):
             raise ValueError(f"feature columns must be f0..f{len(feat_cols)-1}, got {feat_cols}")
         fi = [header.index(c) for c in feat_cols]
         ti, gi = header.index("target"), header.index("group")
-        return lambda row: [float(row[j]) for j in fi] + [int(row[ti]), int(row[gi])]
+        # a label too large for a float is a bad cell, named by its line
+        return lambda row: [float(row[j]) for j in fi] + [float(int(row[ti])), float(int(row[gi]))]
 
     rows = reference_read_table(path, parse_header)
     if not rows:
@@ -233,6 +234,8 @@ GOOD = b"0.5,1,0\n"
         (*DATASET, b'"\n0.5\n",1,0\n0.5,x,0\n', "5: invalid literal for int"),
         (*METRICS, b'x,"a\nb",0.5,0.5,0.5,3\nx,g1,y,0,0,0\n', "5: could not convert"),
         (*DATASET, GOOD + b"\n" + GOOD, "3: expected 3 fields, got 0"),
+        pytest.param(*DATASET, GOOD + b"0.5," + b"9" * 400 + b",0\n", "3: int too large to convert to float",
+                     id="a label too large for a float"),
         # more than one block, the bad cell in the last one
         (*DATASET, GOOD * (2 * _BLOCK_ROWS + 3) + b"0.5,1,z\n", f"{2 * _BLOCK_ROWS + 5}: invalid"),
         # a bad cell in a full block, and a bad field count in the next
@@ -287,6 +290,23 @@ def test_dataset_of_two_blocks_and_a_row_round_trips(tmp_path):
     save_csv(ds, path)
     assert exactly(load_csv(path)) == exactly(ds)
     assert exactly(load_csv(path)) == exactly(reference_load_csv(path))
+
+
+def test_load_csv_peaks_below_two_and_a_half_times_its_result(tmp_path):
+    # each block is parsed into arrays; no per-row Python list of labels is built
+    n = 200_000
+    rng = np.random.default_rng(0)
+    ds = GroupedDataset(features=rng.standard_normal((n, 1)), targets=rng.integers(0, 2, n), groups=np.arange(n) % 2)
+    save_csv(ds, tmp_path / "d.csv")
+    tracemalloc.start()
+    try:
+        back = load_csv(tmp_path / "d.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = back.features.nbytes + back.targets.nbytes + back.groups.nbytes
+    assert exactly(back) == exactly(ds) and back.features.flags.c_contiguous
+    assert peak <= 2.5 * size, f"peak {peak} bytes for a {size}-byte dataset"  # measured 2.0 times
 
 
 # -- the column writer against a per-row reference ------------------------------

@@ -396,6 +396,13 @@ class TestCliCommands:
         assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    def test_train_data_without_a_feature_column_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("target,group\n" + "".join(f"{i % 2},{i // 2 % 2}\n" for i in range(40)))
+        assert cli.main(["train", "--data", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert f"error: {path}: features must be a nonempty n x d matrix" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     @pytest.mark.parametrize("inputs", ["both", "neither"])
     def test_train_needs_exactly_one_of_data_and_scenario(
         self, inputs, scenario_file, small_test_set, tmp_path, capsys
