@@ -12,6 +12,7 @@ the best accepted snapshot with a smaller learning rate and multiplier bump.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +45,7 @@ def adaptive_loss(r, mu, c: float) -> float:
 
 
 def _weights(risks: np.ndarray, two_mu: np.ndarray, c: float) -> np.ndarray:
-    """1 + 2 mu (r - c)^+ for float ``risks`` and a checked ``two_mu`` = 2.0 * mu."""
+    """1 + 2 mu (r - c)^+ for float ``risks`` and ``two_mu`` = 2.0 * mu, a nonnegative float array."""
     return 1.0 + two_mu * np.maximum(risks - c, 0.0)
 
 
@@ -98,9 +99,11 @@ class TraceRow:
 def outer_loop(solve, start, G: int, hp: PFHyperparams):
     """The outer loop over an inner solver; returns (best_snapshot, trace).
 
-    ``solve(start, mu, c, lr, seed) -> (snapshot, risks)`` minimizes the
-    adaptive loss at multipliers ``mu`` and threshold ``c`` from the snapshot
-    ``start``; ``risks`` is the snapshot's float array of G group risks.
+    ``solve(start, objective, weight_rule, lr, seed) -> (snapshot, risks)``
+    minimizes ``objective`` from the snapshot ``start``; ``risks`` is the
+    snapshot's float array of G group risks. The pair is the one that
+    ``sgd_early_stop`` takes, bound at each step to the adaptive loss at that
+    step's multipliers ``mu`` and threshold ``c``, so no solver knows either.
     Every step starts from the best accepted snapshot, so a rejected step is
     undone by dropping its snapshot. A step is accepted iff its gap strictly
     improves and no accepted risk vector dominates it. An accept moves ``c``
@@ -114,7 +117,9 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
     c, gamma, lr, gamma_star = 0.0, hp.gamma0, hp.lr, np.inf
     best, archive, trace, rejects = start, (), [], 0
     for it in range(hp.max_outer_iters):
-        snapshot, r = solve(best, mu.copy(), c, lr, hp.seed + it)
+        # each rule holds its own array: the loop updates mu in place after the step
+        rules = partial(adaptive_loss, mu=mu.copy(), c=c), partial(_weights, two_mu=2.0 * mu, c=c)
+        snapshot, r = solve(best, *rules, lr, hp.seed + it)
         gap = max_gap(r)
         accepted, kept = archive_insert(archive, r) if gap < gamma_star else (False, archive)
         if accepted:
@@ -147,16 +152,14 @@ def pareto_fair_optimize(train: GroupedDataset, val: GroupedDataset, model: MLPC
     # each step trains on a plain TrainConfig: no subclass check re-runs on seed + it
     inner = {f.name: getattr(hp, f.name) for f in fields(TrainConfig)}
 
-    def solve(start, mu, c, lr, seed):
-        # group_weights with mu checked once per fit, not once per minibatch
-        two_mu = 2.0 * _check_mu(mu, (train.num_groups,))
+    def solve(start, objective, weight_rule, lr, seed):
         model.params[...] = start
         _, risks, _ = sgd_early_stop(
             model,
             train,
             val,
-            objective=lambda r: adaptive_loss(r, mu, c),
-            weight_rule=lambda r: _weights(r, two_mu, c),
+            objective=objective,
+            weight_rule=weight_rule,
             config=TrainConfig(**{**inner, "lr": lr, "seed": seed}),
         )
         return model.params.copy(), risks
@@ -169,24 +172,24 @@ def pareto_fair_optimize(train: GroupedDataset, val: GroupedDataset, model: MLPC
 def exact_solver(spec: ScenarioSpec):
     """An inner solver for ``outer_loop`` on the exact risks of ``spec``.
 
-    Its snapshots are scalarization vectors lambda. With mu and c fixed,
-    ``adaptive_loss(R(g), mu, c)`` is convex in the tabulated predictor g, so
-    its minimizer is the scalarized Bayes predictor at lambda proportional to
-    ``group_weights(R(g), mu, c)``; the damped fixed point
-    lambda <- (lambda + w / sum w) / 2 finds it. ``lr`` and ``seed`` are unused.
+    Its snapshots are scalarization vectors lambda. If ``weight_rule`` is the
+    gradient in the risks of a convex ``objective`` increasing in each risk,
+    as the adaptive loss's is, ``objective(R(g))`` is minimized over the
+    tabulated predictor g by the scalarized Bayes predictor at lambda
+    proportional to ``w = weight_rule(R(g))``; the damped fixed point
+    lambda <- (lambda + w / sum w) / 2 finds it. Only ``weight_rule`` is used.
     """
 
-    def solve(start, mu, c, lr, seed):
-        two_mu = 2.0 * _check_mu(mu, (spec.num_groups,))
+    def solve(start, objective, weight_rule, lr, seed):
         lam = np.asarray(start, dtype=float)
         for _ in range(_SOLVER_ITERS):
             r = exact_group_risks(spec, scalarized_bayes_predictor(spec, lam))
-            w = _weights(r, two_mu, c)
+            w = weight_rule(r)
             step = 0.5 * (w / w.sum() - lam)
             if np.max(np.abs(step)) <= 1e-13:
                 return lam, r
             lam = lam + step
-        raise InputError(f"exact solver did not converge in {_SOLVER_ITERS} iterations (mu={mu}, c={c})")
+        raise InputError(f"exact solver did not converge in {_SOLVER_ITERS} iterations (lambda={lam}, weights={w})")
 
     return solve
 
@@ -195,10 +198,7 @@ def write_trace_csv(trace, path):
     """One row per outer iteration: iter, accepted, lr, gamma, c, mu_*, r_*, max_gap."""
     if not trace:
         raise InputError("empty trace")
-    G = len(trace[0].mu)
-    header = ["iter", "accepted", "lr", "gamma", "c"]
-    header += [f"mu_{a}" for a in range(G)]
-    header += [f"r_{a}" for a in range(G)]
-    header += ["max_gap"]
+    groups = range(len(trace[0].mu))
+    header = ["iter", "accepted", "lr", "gamma", "c", *(f"{k}_{a}" for k in ("mu", "r") for a in groups), "max_gap"]
     rows = ([r.iteration, int(r.accepted), r.lr, r.gamma, r.c, *r.mu, *r.risks, r.max_gap] for r in trace)
     write_table(path, header, zip(*rows, strict=True))

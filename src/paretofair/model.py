@@ -27,12 +27,13 @@ from paretofair.risk import (
 
 ACTIVATIONS = ("relu", "tanh")
 _CKPT_MAGIC = b"PFCKPT1\n"
-# Rows per block of a blocked ``forward``. OpenBLAS (0.3.31, Haswell kernels)
+# Rows per block of a blocked ``forward``. OpenBLAS (0.3.31, SkylakeX core)
 # computes a product with M * N * K <= 10**6 by another kernel: ``H[:m] @ W``
 # with W 64 by 2 matched the 100,000-row product bit for bit for m >= 7,813
 # and differed for m <= 7,812, and 64-by-64 products matched at every m tried.
 # A block of at least 8,192 rows is above that switch, as one call on all
-# rows is, so it gives every byte of that call.
+# rows is, so it gives every byte of that call there. The Haswell core
+# differs: odd-sized blocks change a few rows of its 64-by-64 products.
 _FORWARD_BLOCK = 8192
 
 
@@ -158,8 +159,6 @@ class MLPClassifier:
         X = self._check_input(X)
         n = X.shape[0]
         k = max(1, n // _FORWARD_BLOCK)
-        if k == 1:
-            return self._forward_cached(X)
         out = np.empty((n, self.num_classes))
         bounds = [n * i // k for i in range(k + 1)]
         for start, stop in zip(bounds, bounds[1:]):

@@ -22,6 +22,7 @@ from paretofair.oracle import (
     exact_group_risks,
     make_scenario,
     pareto_fair_point,
+    reference_points,
     sample_dataset,
     scalarized_bayes_predictor,
     trace_front,
@@ -159,7 +160,7 @@ def run_script(risks, **hp):
     """
     starts = []
 
-    def solve(start, mu, c, lr, seed):
+    def solve(start, objective, weight_rule, lr, seed):
         starts.append(start)
         return f"s{len(starts) - 1}", np.array(risks[len(starts) - 1])
 
@@ -438,8 +439,15 @@ class TestExactLoop:
 
     def test_unconverged_solve_raises(self, acceptance_spec, monkeypatch):
         monkeypatch.setattr(adaptive, "_SOLVER_ITERS", 2)
-        with pytest.raises(InputError, match="did not converge in 2 iterations"):
-            exact_solver(acceptance_spec)(acceptance_spec.priors, np.ones(2), 0.0, 0.1, 0)
+        with pytest.raises(InputError, match=r"did not converge in 2 iterations \(lambda=\[.*\], weights=\["):
+            exact_solver(acceptance_spec)(acceptance_spec.priors, None, lambda r: 1.0 + 2.0 * r, 0.1, 0)
+
+    def test_any_weight_rule_reaches_the_solver(self, acceptance_spec, front):
+        # constant weights are the gradient of the plain risk sum: lambda lands on
+        # the uniform weights, whose Bayes predictor is the rebalanced one
+        lam, r = exact_solver(acceptance_spec)(acceptance_spec.priors, None, lambda r: np.ones(2), 0.1, 0)
+        assert lam == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert np.abs(r - reference_points(acceptance_spec, front)["rebalanced"]).max() <= 1e-12
 
 
 class TestTraceCsv:
@@ -456,3 +464,9 @@ class TestTraceCsv:
         assert rows[0] == ["iter", "accepted", "lr", "gamma", "c", "mu_0", "mu_1", "r_0", "r_1", "max_gap"]
         assert len(rows) == len(trace) + 1
         assert float(rows[1][7]) == pytest.approx(trace[0].risks[0])
+
+    def test_empty_trace_raises(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(InputError, match="^empty trace$"):
+            write_trace_csv([], path)
+        assert not path.exists()

@@ -231,27 +231,34 @@ GOOD = b"0.5,1,0\n"
     "load, reference, head, body, message",
     [
         # a quoted cell over lines 2-4 that parses, then a bad cell on line 5
-        (*DATASET, b'"\n0.5\n",1,0\n0.5,x,0\n', "5: invalid literal for int"),
-        (*METRICS, b'x,"a\nb",0.5,0.5,0.5,3\nx,g1,y,0,0,0\n', "5: could not convert"),
-        (*DATASET, GOOD + b"\n" + GOOD, "3: expected 3 fields, got 0"),
+        pytest.param(*DATASET, b'"\n0.5\n",1,0\n0.5,x,0\n', "5: invalid literal for int",
+                     id="dataset quoted cell then a bad cell"),
+        pytest.param(*METRICS, b'x,"a\nb",0.5,0.5,0.5,3\nx,g1,y,0,0,0\n', "5: could not convert",
+                     id="metrics quoted cell then a bad cell"),
+        pytest.param(*DATASET, GOOD + b"\n" + GOOD, "3: expected 3 fields, got 0", id="an empty line"),
         pytest.param(*DATASET, GOOD + b"0.5," + b"9" * 400 + b",0\n", "3: int too large to convert to float",
                      id="a label too large for a float"),
         # more than one block, the bad cell in the last one
-        (*DATASET, GOOD * (2 * _BLOCK_ROWS + 3) + b"0.5,1,z\n", f"{2 * _BLOCK_ROWS + 5}: invalid"),
+        pytest.param(*DATASET, GOOD * (2 * _BLOCK_ROWS + 3) + b"0.5,1,z\n", f"{2 * _BLOCK_ROWS + 5}: invalid",
+                     id="a bad cell in the last block"),
         # a bad cell in a full block, and a bad field count in the next
-        (*DATASET, GOOD * 3 + b"e,1,0\n" + GOOD * _BLOCK_ROWS + b"1\n", "5: could not"),
+        pytest.param(*DATASET, GOOD * 3 + b"e,1,0\n" + GOOD * _BLOCK_ROWS + b"1\n", "5: could not",
+                     id="a bad cell before a bad field count"),
         # a bad field count in the first block, before a bad cell in the second
-        (*DATASET, b"1\n" + GOOD * _BLOCK_ROWS + b"e,1,0\n", "2: expected 3 fields, got 1"),
+        pytest.param(*DATASET, b"1\n" + GOOD * _BLOCK_ROWS + b"e,1,0\n", "2: expected 3 fields, got 1",
+                     id="a bad field count before a bad cell"),
         # a bad cell, then bytes that are not UTF-8 past the first 8 KiB that
         # the decoder reads, in the same block
-        (*DATASET, b"e,1,0\n" + GOOD * 2000 + b"\xff,1,0\n", "2: could not"),
-        (*DATASET, GOOD * 2000 + b"\xff,1,0\n", "2002: 'utf-8' codec"),
+        pytest.param(*DATASET, b"e,1,0\n" + GOOD * 2000 + b"\xff,1,0\n", "2: could not",
+                     id="a bad cell before bytes that are not UTF-8"),
+        pytest.param(*DATASET, GOOD * 2000 + b"\xff,1,0\n", "2002: 'utf-8' codec", id="bytes that are not UTF-8"),
         # a stateful parser: the method changes on the first row of the second
         # block, and the re-read runs the first row's check again
-        (
+        pytest.param(
             *METRICS,
             b"".join(b"x,g%d,0.5,0.5,0.5,3\n" % i for i in range(_BLOCK_ROWS - 1)) + b"y,h,0.5,0.5,0.5,3\n",
             f"{_BLOCK_ROWS + 2}: method 'y' differs from the first row's 'x'",
+            id="a method change in the second block",
         ),
     ],
 )

@@ -92,6 +92,10 @@ class TestInit:
         with pytest.raises(InputError, match=r"^layer_dims must be .*integers >= 1, got \[1, "):
             MLPClassifier([1, width, 2])
 
+    def test_unknown_activation_named(self):
+        with pytest.raises(InputError, match=r"^activation must be one of \('relu', 'tanh'\)$"):
+            MLPClassifier([1, 2], activation="sigmoid")
+
     def test_numpy_integer_widths_accepted(self):
         assert MLPClassifier([np.int64(1), np.int32(3), 2]).layer_dims == [1, 3, 2]
 

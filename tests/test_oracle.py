@@ -188,6 +188,29 @@ def test_nan_fails_the_range_checks(acceptance_spec, tmp_path, case):
         build(acceptance_spec, tmp_path)
 
 
+# Each case breaks one rule of a scenario or a draw with finite values
+RULE_CASES = {
+    "spec shapes": (lambda s: replace(s, grid=s.grid[:-1]), "inconsistent grid / priors / density / eta shapes"),
+    "spec priors": (lambda s: replace(s, priors=[0.5, 0.6]), "priors must be nonnegative and sum to 1"),
+    "spec three-group priors": (
+        lambda s: make_scenario(replace(THREE_GROUP_PARAMS, priors=(0.5, 0.5, 0.1))),
+        "priors must be nonnegative and sum to 1",
+    ),
+    "spec density rows": (
+        lambda s: replace(s, density=s.density * 0.9), "each density row must be nonnegative and sum to 1"
+    ),
+    "spec eta range": (lambda s: replace(s, eta=s.eta + 1.0), r"eta values must lie in \[0, 1\]"),
+    "draw size": (lambda s: sample_dataset(s, 0), "n must be an integer >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(RULE_CASES))
+def test_broken_rule_is_named(acceptance_spec, case):
+    build, message = RULE_CASES[case]
+    with pytest.raises(InputError, match=f"^{message}$"):
+        build(acceptance_spec)
+
+
 class TestSampling:
     def test_determinism(self, acceptance_spec):
         a = sample_dataset(acceptance_spec, 1000, seed=42)

@@ -465,10 +465,14 @@ class TestCliCommands:
         assert capsys.readouterr().err.strip() == f"paretofair synth: error: {message}"
         assert not data.exists()
 
-    @pytest.mark.parametrize("command", ["oracle", "synth", "train"])
-    def test_scenario_that_does_not_build_names_the_file(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("command, priors, message", [
+        *(pytest.param(c, "1.0", "rho_low has 2 entries, but priors has 1", id=c) for c in ("oracle", "synth", "train")),
+        *(pytest.param(c, "0.5, 0.6", "priors must be nonnegative and sum to 1", id=f"{c}-priors")
+          for c in ("oracle", "synth", "train")),
+    ])
+    def test_scenario_that_does_not_build_names_the_file(self, command, priors, message, tmp_path, capsys):
         scenario = tmp_path / "one.txt"
-        scenario.write_text("priors = 1.0\n")
+        scenario.write_text(f"priors = {priors}\n")
         out = tmp_path / "out"
         argv = {
             "oracle": ["oracle", "--scenario", str(scenario), "--out", str(out)],
@@ -476,8 +480,7 @@ class TestCliCommands:
             "train": ["train", "--scenario", str(scenario), "--out", str(out)],
         }[command]
         assert cli.main(argv) == 1
-        message = f"{scenario}: rho_low has 2 entries, but priors has 1"
-        assert capsys.readouterr().err.strip() == f"paretofair {command}: error: {message}"
+        assert capsys.readouterr().err.strip() == f"paretofair {command}: error: {scenario}: {message}"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "postproc"])

@@ -371,3 +371,7 @@ class TestMetricSummary:
     def test_bad_ratios(self):
         with pytest.raises(InputError):
             metric_summary([0.5, 0.5], [0.5, 0.6])
+
+    def test_length_mismatch(self):
+        with pytest.raises(InputError, match="^metric and ratio lengths differ$"):
+            metric_summary([0.5, 0.5, 0.5], [0.5, 0.5])
