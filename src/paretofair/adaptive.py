@@ -112,7 +112,7 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
     ``lr`` and the bump ``gamma``. The loop stops after ``max_outer_iters``
     steps, or after ``max_consecutive_rejects`` rejects in a row.
     """
-    mu = np.full(G, hp.mu_init)
+    mu = np.full(G, hp.mu_init, dtype=float)
     mu_star = mu.copy()
     c, gamma, lr, gamma_star = 0.0, hp.gamma0, hp.lr, np.inf
     best, archive, trace, rejects = start, (), [], 0

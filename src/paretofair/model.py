@@ -32,8 +32,14 @@ _CKPT_MAGIC = b"PFCKPT1\n"
 # with W 64 by 2 matched the 100,000-row product bit for bit for m >= 7,813
 # and differed for m <= 7,812, and 64-by-64 products matched at every m tried.
 # A block of at least 8,192 rows is above that switch, as one call on all
-# rows is, so it gives every byte of that call there. The Haswell core
-# differs: odd-sized blocks change a few rows of its 64-by-64 products.
+# rows is, so it gives every byte of that call there. The Haswell core (which
+# OpenBLAS also picks for AMD Zen) computes a row differently when an odd
+# number of the call's rows precede it, so every block starts on a multiple
+# of 8 (even starts sufficed in every case tried).
+# Then the blocked pass equals one call for 64-wide nets on the SkylakeX,
+# Sandybridge and one-thread Haswell cores; a threaded Haswell call on some
+# odd row counts, such as 16,385, splits its rows so that 1 or 2 rows differ from
+# every blocking tried, and from the one-thread call too.
 _FORWARD_BLOCK = 8192
 
 
@@ -149,18 +155,19 @@ class MLPClassifier:
         """Class probabilities, one simplex row per input row.
 
         n rows are scored in k = max(1, n // 8,192) near-equal blocks, block
-        i taking rows ``n * i // k`` to ``n * (i + 1) // k``: fewer than
-        16,384 rows take one ``_forward_cached`` call, and more take blocks of
-        8,192 to 12,287 rows, into one (n, C) output. Each call keeps no
-        activation beyond the layer being computed, so a forward pass holds
-        at most two hidden activations of at most 16,383 rows each (12,287
-        once n reaches 16,384), besides the output.
+        i starting at row ``n * i // k`` rounded down to a multiple of 8 and
+        the last ending at row n: fewer than 16,384 rows take one
+        ``_forward_cached`` call, and more take blocks of 8,192 to 12,295
+        rows, into one (n, C) output. Each call keeps no activation beyond the
+        layer being computed, so a forward pass holds at most two hidden
+        activations of at most 16,383 rows each (12,295 once n reaches
+        16,384), besides the output.
         """
         X = self._check_input(X)
         n = X.shape[0]
         k = max(1, n // _FORWARD_BLOCK)
         out = np.empty((n, self.num_classes))
-        bounds = [n * i // k for i in range(k + 1)]
+        bounds = [n * i // k // 8 * 8 for i in range(k)] + [n]
         for start, stop in zip(bounds, bounds[1:]):
             out[start:stop] = self._forward_cached(X[start:stop])
         return out

@@ -50,8 +50,8 @@ class ScenarioSpec:
         priors = np.asarray(self.priors, dtype=float)
         density = np.asarray(self.density, dtype=float)
         eta = np.asarray(self.eta, dtype=float)
-        G, B = density.shape
-        if grid.shape != (B,) or eta.shape != (G, B) or priors.shape != (G,):
+        shape = density.shape
+        if density.ndim != 2 or grid.shape != shape[1:] or priors.shape != shape[:1] or eta.shape != shape:
             raise InputError("inconsistent grid / priors / density / eta shapes")
         if not all(np.all(np.isfinite(v)) for v in (grid, priors, density, eta)):
             raise InputError("grid, priors, density and eta must be finite")
@@ -98,23 +98,21 @@ def make_scenario(params: ScenarioParams = ScenarioParams()) -> ScenarioSpec:
     if not (-np.inf < params.grid_min < params.grid_max < np.inf):
         raise InputError("invalid grid bounds")
     x = np.linspace(params.grid_min, params.grid_max, params.grid_points)
-    transitions = [
-        params.transition_center + (a - (G - 1) / 2.0) * params.transition_delta for a in range(G)
-    ]
+    transitions = params.transition_center + (np.arange(G) - (G - 1) / 2.0) * params.transition_delta
     for t in transitions:
         if not params.grid_min < t < params.grid_max:
             raise InputError(f"transition at {t} falls outside the grid")
-    density = np.zeros((G, params.grid_points))
-    eta = np.zeros((G, params.grid_points))
-    for a in range(G):
-        with np.errstate(over="ignore"):  # a tiny width squares to inf, and exp(-inf) is 0
-            bump = np.exp(-0.5 * ((x - params.density_centers[a]) / params.density_widths[a]) ** 2)
-        if not bump.sum() > 0:  # a width far below the grid spacing, centered between points
-            width = params.density_widths[a]
-            raise InputError(f"density_widths[{a}] = {width!r} puts no mass on any grid point")
-        density[a] = bump / bump.sum()
-        eta[a] = np.where(x < transitions[a], params.rho_low[a], params.rho_high[a])
-    return ScenarioSpec(grid=x, priors=np.asarray(params.priors, dtype=float), density=density, eta=eta)
+    centers, widths, rho_low, rho_high = np.array(
+        [params.density_centers, params.density_widths, params.rho_low, params.rho_high], dtype=float
+    )[..., None]
+    with np.errstate(over="ignore"):  # a tiny width squares to inf, and exp(-inf) is 0
+        bump = np.exp(-0.5 * ((x - centers) / widths) ** 2)
+    mass = bump.sum(axis=1, keepdims=True)
+    if not np.all(mass > 0):  # a width far below the grid spacing, centered between points
+        a = int(np.argmin(mass > 0))
+        raise InputError(f"density_widths[{a}] = {params.density_widths[a]!r} puts no mass on any grid point")
+    eta = np.where(x < transitions[:, None], rho_low, rho_high)
+    return ScenarioSpec(grid=x, priors=np.asarray(params.priors, dtype=float), density=bump / mass, eta=eta)
 
 
 # -- scenario file I/O ---------------------------------------------------------
@@ -178,16 +176,14 @@ def scalarized_bayes_predictor(spec: ScenarioSpec, lam) -> np.ndarray:
     return np.where(den > 0, num / np.maximum(den, 1e-300), 0.5)
 
 
-def _simplex_grid(G: int, num_lambda: int):
-    if G == 1:
-        return [np.array([1.0])]
+def _simplex_grid(G: int, num_lambda: int) -> np.ndarray:
+    """The (L, G) lambda lattice: num_lambda even steps for G = 2, else each composition of m into G parts, over m."""
     if G == 2:
         ts = np.linspace(0.0, 1.0, num_lambda)
-        return [np.array([t, 1.0 - t]) for t in ts]
-    # coarse lattice for G >= 3: all compositions of m into G parts
-    m = max(2, int(round(num_lambda ** (1.0 / (G - 1)))))
+        return np.stack([ts, 1.0 - ts], axis=1)
+    m = max(2, int(round(num_lambda ** (1.0 / max(G - 1, 1)))))
     heads = (c for c in itertools.product(range(m + 1), repeat=G - 1) if sum(c) <= m)
-    return [np.array([*c, m - sum(c)]) / m for c in heads]
+    return np.array([[*c, m - sum(c)] for c in heads]) / m
 
 
 def trace_front(spec: ScenarioSpec, num_lambda: int = 1001) -> np.ndarray:
@@ -202,7 +198,7 @@ def trace_front(spec: ScenarioSpec, num_lambda: int = 1001) -> np.ndarray:
     risks = [exact_group_risks(spec, scalarized_bayes_predictor(spec, lam)) for lam in lams]
     # dominates(r, r) is False, so r need not be skipped in its own scan
     keep = [i for i, r in enumerate(risks) if not any(dominates(q, r) for q in risks)]
-    lams, risks = np.array(lams)[keep], np.array(risks)[keep]
+    lams, risks = lams[keep], np.array(risks)[keep]
     return np.hstack([lams, risks])[np.lexsort((risks[:, -1], risks[:, 0]))]
 
 

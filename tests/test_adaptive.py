@@ -228,6 +228,14 @@ class TestAcceptReject:
 
 
 class TestOuterLoopScripted:
+    def test_integer_mu_init_gives_float_multipliers(self):
+        # two accepts at c = 0.15, each bumping group 1 by 1 + gamma0
+        _, trace, _, _ = run_script([[0.3, 0.4], [0.3, 0.35]], mu_init=1)
+        _, want, _, _ = run_script([[0.3, 0.4], [0.3, 0.35]], mu_init=1.0)
+        assert accepted(trace) == [True, True]
+        assert [row.mu.tolist() for row in trace] == [[1.0, 1.5], [1.0, 2.25]]
+        assert [row.mu.tobytes() for row in trace] == [row.mu.tobytes() for row in want]
+
     def test_stops_after_consecutive_rejects(self):
         # an accept resets the count, so the loop runs on past the second reject
         script = [[0.4, 0.2], [0.5, 0.1], [0.3, 0.25], [0.6, 0.1], [0.6, 0.1], [0.6, 0.1]]

@@ -1,10 +1,14 @@
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import paretofair
 from paretofair import model as model_module
 from paretofair.adaptive import group_weights
 from paretofair.data import GroupedDataset
@@ -305,6 +309,23 @@ def reference_forward_and_grad(m, X, y, w, loss):
     return probs, gW, gb
 
 
+# the instruction set each OpenBLAS core needs: forcing a core the CPU cannot run crashes the process
+OPENBLAS_CORES = {"Haswell": "avx2", "SkylakeX": "avx512f", "Sandybridge": "avx"}
+BLOCKED_EQUALS_ONE_CALL = """
+import numpy as np
+from paretofair.model import MLPClassifier
+
+for dims in ([1, 64, 64, 2], [3, 64, 64, 2]):
+    rng = np.random.default_rng(dims[0])
+    m = MLPClassifier(dims, activation="relu", seed=0)
+    for b in m.biases:
+        b[...] = rng.standard_normal(b.shape)
+    X = rng.standard_normal((100_000, dims[0]))
+    for n in (16_385, 40_000, 99_999, 100_000):
+        assert m.forward(X[:n]).tobytes() == m._forward_cached(X[:n]).tobytes(), f"{dims}, n = {n}"
+"""
+
+
 class TestLayerLoop:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("loss", ["brier", "cross_entropy"])
@@ -392,8 +413,32 @@ class TestLayerLoop:
         monkeypatch.setattr(MLPClassifier, "_forward_cached", counted)
         for n, probs in want.items():
             assert m.forward(X[:n]).tobytes() == probs.tobytes()
-        # n // 8,192 near-equal blocks, block i ending at row n * (i + 1) // k
-        assert rows == [16_383, 8_192, 8_192, 8_192, 8_193, *[10_000] * 4, *[8_333, 8_333, 8_334] * 4]
+        # n // 8,192 near-equal blocks, each starting at row n * i // k rounded down to a multiple of 8
+        assert rows == [16_383, 8_192, 8_192, 8_192, 8_193, *[10_000] * 4, *[8_328, 8_336, 8_336] * 4]
+
+    @pytest.mark.parametrize("core", list(OPENBLAS_CORES))
+    def test_blocked_forward_matches_one_call_on_each_openblas_core(self, core):
+        try:
+            with open("/proc/cpuinfo") as fh:
+                flags = set(fh.read().split())
+        except OSError:
+            flags = set()
+        if OPENBLAS_CORES[core] not in flags:
+            pytest.skip(f"the CPU lacks {OPENBLAS_CORES[core]}, which the {core} core needs")
+        src = os.path.dirname(os.path.dirname(paretofair.__file__))
+        env = {
+            **os.environ,
+            "OPENBLAS_CORETYPE": core,
+            "OPENBLAS_VERBOSE": "2",
+            # a threaded Haswell call on some odd row counts (16,385 on 2 threads) differs from
+            # every blocking in 1 or 2 rows; one thread checks the blocks' row alignment alone
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        out = subprocess.run([sys.executable, "-c", BLOCKED_EQUALS_ONE_CALL], env=env, capture_output=True, text=True)
+        if f"Core: {core}" not in out.stderr.splitlines():
+            pytest.skip(f"numpy's BLAS did not report the OpenBLAS {core} core")
+        assert out.returncode == 0, out.stderr
 
 
 def separable_dataset(n=40, seed=0):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -84,6 +85,65 @@ class TestConstructor:
         out = str(tmp_path / "out")
         assert cli.main(["oracle", "--scenario", str(path), "--num-lambda", "11", "--out", out]) == 1
         assert "density_widths[0]" in capsys.readouterr().err
+
+
+def looped_scenario(params):
+    """``make_scenario``'s density and eta tables, filled one group at a time (params already checked)."""
+    G = len(params.priors)
+    x = np.linspace(params.grid_min, params.grid_max, params.grid_points)
+    transitions = [params.transition_center + (a - (G - 1) / 2.0) * params.transition_delta for a in range(G)]
+    density = np.zeros((G, params.grid_points))
+    eta = np.zeros((G, params.grid_points))
+    for a in range(G):
+        with np.errstate(over="ignore"):
+            bump = np.exp(-0.5 * ((x - params.density_centers[a]) / params.density_widths[a]) ** 2)
+        if not bump.sum() > 0:
+            width = params.density_widths[a]
+            raise InputError(f"density_widths[{a}] = {width!r} puts no mass on any grid point")
+        density[a] = bump / bump.sum()
+        eta[a] = np.where(x < transitions[a], params.rho_low[a], params.rho_high[a])
+    return density, eta
+
+
+def random_params(rng, G):
+    """Valid ScenarioParams with G groups; one width in 20 is far below any grid spacing, and leaves no mass."""
+    grid_min = float(rng.uniform(-2.0, 1.0))
+    grid_max = grid_min + float(rng.uniform(0.1, 3.0))
+    span = grid_max - grid_min
+    delta = float(rng.uniform(0.0, 0.9 * span / max(G - 1, 1)))
+    half = delta * (G - 1) / 2.0
+    center = float(rng.uniform(grid_min + half + 0.01 * span, grid_max - half - 0.01 * span))
+    lo, hi = np.sort(rng.uniform(0.0, 1.0, (2, G)), axis=0)
+    return ScenarioParams(
+        priors=tuple(np.full(G, 1.0 / G).tolist()),
+        rho_low=tuple(lo.tolist()),
+        rho_high=tuple(hi.tolist()),
+        transition_center=center,
+        transition_delta=delta,
+        density_centers=tuple(rng.uniform(grid_min - 0.05 * span, grid_max + 0.05 * span, G).tolist()),
+        density_widths=tuple((span * np.where(rng.random(G) < 0.05, 1e-9, 10.0 ** rng.uniform(-2.0, 0.5, G))).tolist()),
+        grid_min=grid_min,
+        grid_max=grid_max,
+        grid_points=int(rng.integers(2, 1002)),
+    )
+
+
+@pytest.mark.parametrize("G", [1, 2, 3, 4])
+def test_array_scenario_matches_the_per_group_loop_bitwise(G):
+    rng = np.random.default_rng(G)
+    built = 0
+    for _ in range(80):
+        params = random_params(rng, G)
+        try:
+            density, eta = looped_scenario(params)
+        except InputError as exc:
+            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                make_scenario(params)
+            continue
+        spec = make_scenario(params)
+        assert spec.density.tobytes() == density.tobytes() and spec.eta.tobytes() == eta.tobytes()
+        built += 1
+    assert built >= 50  # most draws put mass on every group, so the tables themselves are compared
 
 
 class TestScenarioFile:
@@ -201,6 +261,10 @@ RULE_CASES = {
     ),
     "spec eta range": (lambda s: replace(s, eta=s.eta + 1.0), r"eta values must lie in \[0, 1\]"),
     "draw size": (lambda s: sample_dataset(s, 0), "n must be an integer >= 1, got 0"),
+    "spec density not a table": (
+        lambda s: ScenarioSpec(grid=[0, 1], priors=[1.0], density=[0.5, 0.5], eta=[[0.1, 0.2]]),
+        "inconsistent grid / priors / density / eta shapes",
+    ),
 }
 
 
