@@ -117,24 +117,32 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
     c, gamma, lr, gamma_star = 0.0, hp.gamma0, hp.lr, np.inf
     best, archive, trace, rejects = start, (), [], 0
     for it in range(hp.max_outer_iters):
+        with np.errstate(over="ignore"):  # a multiplier that overflows raises here, naming its group
+            two_mu = 2.0 * mu
+        overflowed = np.flatnonzero(~np.isfinite(two_mu))
+        if overflowed.size:
+            a = overflowed[0]
+            raise InputError(f"outer iteration {it}: the multiplier of group {a}, mu = {mu[a]}, is too large; "
+                             "2 * mu must be finite")
         # each rule holds its own array: the loop updates mu in place after the step
-        rules = partial(adaptive_loss, mu=mu.copy(), c=c), partial(_weights, two_mu=2.0 * mu, c=c)
+        rules = partial(adaptive_loss, mu=mu.copy(), c=c), partial(_weights, two_mu=two_mu, c=c)
         snapshot, r = solve(best, *rules, lr, hp.seed + it)
         gap = max_gap(r)
         accepted, kept = archive_insert(archive, r) if gap < gamma_star else (False, archive)
-        if accepted:
-            c_old, c = c, float(r.min()) / hp.k
-            num = np.maximum(r - c_old, 0.0)
-            den = np.maximum(r - c, 0.0)
-            mu_star = mu * np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
-            best, archive, gamma_star, rejects = snapshot, kept, gap, 0
-        else:
-            lr *= hp.zeta
-            mu = mu_star.copy()
-            gamma *= hp.xi
-            rejects += 1
-        # the worst group's multiplier grows after rejected steps too
-        mu[int(np.argmax(r))] *= 1.0 + gamma
+        with np.errstate(over="ignore"):  # the next step's check names an overflowed multiplier
+            if accepted:
+                c_old, c = c, float(r.min()) / hp.k
+                num = np.maximum(r - c_old, 0.0)
+                den = np.maximum(r - c, 0.0)
+                mu_star = mu * np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
+                best, archive, gamma_star, rejects = snapshot, kept, gap, 0
+            else:
+                lr *= hp.zeta
+                mu = mu_star.copy()
+                gamma *= hp.xi
+                rejects += 1
+            # the worst group's multiplier grows after rejected steps too
+            mu[int(np.argmax(r))] *= 1.0 + gamma
         trace.append(TraceRow(it, accepted, lr, gamma, c, mu.copy(), r.copy(), gap))
         if rejects >= hp.max_consecutive_rejects:
             break

@@ -7,6 +7,7 @@ float64 numpy, single threaded and deterministic per seed.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -225,6 +226,8 @@ def _block_weights(weight_rule, G: int, per: int, losses) -> np.ndarray:
     one group's block, so its mean has the bits of that group's masked mean.
     """
     w_groups = np.asarray(weight_rule(losses.reshape(G, per).mean(axis=1)), dtype=float)
+    if w_groups.shape != (G,):
+        raise InputError(f"the weight rule returned shape {w_groups.shape}, expected one weight per group ({G},)")
     return np.repeat(w_groups, per)
 
 
@@ -240,22 +243,23 @@ def sgd_early_stop(
 
     Every setting comes from ``config``; ``config.loss`` is both the loss the
     gradient descends and the loss of the validation group risks.
-    With ``weight_rule=None`` this is ERM: each epoch walks one permutation
-    of the rows, and every row has weight 1. Otherwise each batch takes
-    ceil(batch_size / G) rows of each group, drawn with replacement, and
-    ``weight_rule`` maps the batch's mean loss per group, a float array of
-    length G, to the G weights of the group's rows. Those risks come from
-    the forward pass of the gradient itself (``weighted_grad`` takes the
-    weights as a function of the batch's losses), so a step runs one forward
-    and one backward pass. Each epoch gathers its rows once and each step
-    takes a slice of them.
+    Each epoch draws one index of training rows, gathers them once and takes
+    each step as a slice. With ``weight_rule=None`` this is ERM: the index is
+    one permutation of the rows, a step ``batch_size`` of them, and every row
+    has weight 1. Otherwise a step is ceil(batch_size / G) rows of each
+    group, drawn with replacement, and ``weight_rule`` maps the step's mean
+    loss per group, a float array of length G, to the G weights of the
+    group's rows. Those risks come from the forward pass of the gradient
+    itself (``weighted_grad`` takes the weights as a function of the
+    losses), so a step runs one forward and one backward pass.
     After each epoch the ``objective`` is evaluated on the validation group
     risks, the float array of length G that ``group_risks`` gives; the best
     parameters seen are restored at the end. Training stops once
-    ``patience`` consecutive epochs bring no improvement, or at
-    ``max_epochs``. Non-finite losses, as from a diverged model, raise
-    InputError at the minibatch that meets them, a non-finite objective at
-    the epoch that gives it, and sets that hold different groups at once.
+    ``patience`` consecutive epochs bring no improvement (a tie is none), or
+    at ``max_epochs``. InputError is raised by non-finite losses, as from a
+    diverged model, or a rule's weights not one per group, at the step that
+    meets them; by an objective not one finite real number, at its epoch;
+    and by sets that hold different groups.
 
     Returns (model, best_risks, epochs_run), where ``best_risks`` are the
     validation group risks of the restored epoch. The model is updated in
@@ -269,53 +273,43 @@ def sgd_early_stop(
     n = train.n
     lr, bs, loss = config.lr, config.batch_size, config.loss
     if weight_rule is None:
-        weights = np.ones_like
+        step, weights, draw_rows = bs, np.ones_like, partial(rng.permutation, n)
     else:
-        # Each batch holds ``per`` rows of group 0, then of group 1, and
-        # so on, indexing the training rows sorted by group. One draw per epoch
+        # Each step holds ``per`` rows of group 0, then of group 1, and so on,
+        # indexing the training rows sorted by group. One draw per epoch
         # bounds each row by its group's size, so the draws, and the generator
         # state after them, equal those of one rng.integers call per group per
-        # batch.
-        n_batches, per = -(-n // bs), -(-bs // G)
+        # step.
+        per = -(-bs // G)
+        step, weights = G * per, partial(_block_weights, weight_rule, G, per)
         pool = np.argsort(train.groups, kind="stable")
-        sizes = np.bincount(train.groups, minlength=G)
-        starts = np.cumsum(sizes) - sizes
-        weights = partial(_block_weights, weight_rule, G, per)
+        sizes = np.bincount(train.groups, minlength=G)[:, None]
+        starts = np.cumsum(sizes)[:, None] - sizes
+
+        def draw_rows():
+            return pool[rng.integers(0, sizes, size=(-(-n // bs), G, per)) + starts].ravel()
 
     # a finite objective always beats inf, so the first epoch sets best_risks and best_params
-    best_obj = np.inf
-    bad_epochs = 0
-    epochs_run = 0
-
-    for _epoch in range(config.max_epochs):
-        if weight_rule is None:
-            order = rng.permutation(n)
-            X, y = train.features[order], train.targets[order]
-            steps = ((X[j : j + bs], y[j : j + bs]) for j in range(0, n, bs))
-        else:
-            draws = rng.integers(0, sizes[:, None], size=(n_batches, G, per)) + starts[:, None]
-            batches = pool[draws].reshape(n_batches, G * per)
-            steps = zip(train.features[batches], train.targets[batches])
-        for X_step, y_step in steps:
-            gW, gb = weighted_grad(model, X_step, y_step, weights, loss)
-            for W, g_ in zip(model.weights, gW):
-                W -= lr * g_
-            for b, g_ in zip(model.biases, gb):
-                b -= lr * g_
-        epochs_run += 1
+    best_obj, best_epoch = np.inf, 0
+    for epochs_run in range(1, config.max_epochs + 1):
+        rows = draw_rows()
+        X, y = train.features[rows], train.targets[rows]
+        for j in range(0, len(rows), step):
+            gW, gb = weighted_grad(model, X[j : j + step], y[j : j + step], weights, loss)
+            for p, g in zip(model.weights + model.biases, gW + gb):
+                p -= lr * g
 
         val_probs = model.forward(val.features)
         r_val = group_risks(val_probs, val.targets, val.groups, loss)
-        obj = float(objective(r_val))
+        obj = objective(r_val)
+        if not isinstance(obj, numbers.Real):
+            raise InputError(f"the objective returned {obj!r} after epoch {epochs_run}; it must return one real number")
         if not math.isfinite(obj):
             raise InputError(f"the objective is {obj} after epoch {epochs_run}; it must be finite")
         if obj < best_obj:
-            best_obj, best_risks = obj, r_val
+            best_obj, best_risks, best_epoch = obj, r_val, epochs_run
             best_params = model.params.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-        if bad_epochs >= config.patience:
+        if epochs_run - best_epoch >= config.patience:
             break
 
     model.params[...] = best_params

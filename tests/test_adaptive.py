@@ -16,7 +16,7 @@ from paretofair.adaptive import (
 from paretofair.baselines import train_naive
 from paretofair.data import GroupedDataset, split_dataset
 from paretofair import adaptive
-from paretofair.model import MLPClassifier, TrainConfig
+from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
 from paretofair.oracle import (
     ScenarioParams,
     exact_group_risks,
@@ -367,6 +367,55 @@ class TestOuterLoop:
         model = MLPClassifier([1, 2], seed=0)
         with pytest.raises(InputError):
             pareto_fair_optimize(tr, bad_val, model, _small_hp())
+
+
+class TestMultiplierOverflow:
+    # the suite turns warnings into errors, so a RuntimeWarning on the way fails these too
+    @pytest.mark.parametrize("solver", ["sgd", "exact"])
+    @pytest.mark.parametrize(
+        "setting, it", [({"mu_init": 1e308}, 0), ({"gamma0": 1e308}, 1)], ids=["mu_init", "gamma0"]
+    )
+    def test_names_the_iteration_and_the_group(self, acceptance_spec, solver, setting, it):
+        hp = _small_hp(max_outer_iters=3, max_epochs=1, patience=1, **setting)
+        tr, va = split_dataset(sample_dataset(acceptance_spec, 400, seed=0), (0.75, 0.25), seed=0)
+        message = (rf"^outer iteration {it}: the multiplier of group [01], mu = \S+, is too large; "
+                   r"2 \* mu must be finite$")
+        with pytest.raises(InputError, match=message):
+            if solver == "sgd":
+                pareto_fair_optimize(tr, va, MLPClassifier([1, 4, 2], seed=0), hp)
+            else:
+                outer_loop(exact_solver(acceptance_spec), acceptance_spec.priors, 2, hp)
+
+
+def group_dro_rule(G, eta):
+    """Group DRO's exponentiated-gradient group weights (Sagawa et al., 2020) as a ``weight_rule``.
+
+    Returns (rule, q, seen): ``q`` is the rule's distribution over groups, updated in place, and
+    ``seen`` the group risks of each call.
+    """
+    q, seen = np.full(G, 1.0 / G), []
+
+    def rule(r):
+        seen.append(r)
+        q[:] = q * np.exp(eta * r)
+        q[:] /= q.sum()
+        return G * q
+
+    return rule, q, seen
+
+
+class TestGroupDro:
+    def test_trains_through_the_unchanged_weight_rule_seam(self, acceptance_spec):
+        tr, va = split_dataset(sample_dataset(acceptance_spec, 2000, seed=0), (0.75, 0.25), seed=0)
+        rule, q, seen = group_dro_rule(2, eta=0.5)
+        cfg = TrainConfig(lr=0.1, batch_size=32, max_epochs=10, patience=10, seed=0)
+        _, risks, epochs = sgd_early_stop(MLPClassifier([1, 8, 2], seed=0), tr, va, lambda r: float(r.max()), rule, cfg)
+        # one call per step, each with the step's float risk per group
+        assert len(seen) == epochs * -(-tr.n // cfg.batch_size)
+        assert all(r.dtype == np.float64 and r.shape == (2,) for r in seen)
+        # q moves its mass onto the group with the higher risk
+        assert np.argmax(q) == np.argmax(np.mean(seen, axis=0)) == np.argmax(risks)
+        assert q.max() > 0.9
 
 
 def exact_loop(spec, **hp):

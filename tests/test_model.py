@@ -600,6 +600,43 @@ class TestSgdEarlyStop:
         with pytest.raises(InputError, match=f"^the objective is {bad} after epoch 3; it must be finite$"):
             sgd_early_stop(MLPClassifier([1, 2], seed=0), train, val, lambda r: next(objectives), weight_rule, cfg)
 
+    @pytest.mark.parametrize(
+        "objective, weight_rule, message",
+        [
+            (mean_objective, lambda r: np.ones(3),
+             r"^the weight rule returned shape \(3,\), expected one weight per group \(2,\)$"),
+            (mean_objective, lambda r: 1.0,
+             r"^the weight rule returned shape \(\), expected one weight per group \(2,\)$"),
+            (lambda r: r, uniform_rule,
+             r"^the objective returned array\(\[.*\]\) after epoch 1; it must return one real number$"),
+        ],
+        ids=["three-weights", "scalar-weight", "array-objective"],
+    )
+    def test_seam_returning_the_wrong_shape_raises_a_typed_error(self, objective, weight_rule, message):
+        train, val = separable_dataset(40, seed=1), separable_dataset(40, seed=2)
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=3, patience=3, seed=0)
+        with pytest.raises(InputError, match=message):
+            sgd_early_stop(MLPClassifier([1, 2], seed=0), train, val, objective, weight_rule, cfg)
+
+    @pytest.mark.parametrize("weight_rule", [uniform_rule, None], ids=["stratified", "erm"])
+    def test_patience_counts_epochs_since_the_best_and_a_tie_is_no_improvement(self, weight_rule):
+        train, val = separable_dataset(40, seed=1), separable_dataset(40, seed=2)
+        model = MLPClassifier([1, 3, 2], seed=0)
+        scripted = iter([0.5, 0.4, 0.45, 0.39, 0.4, 0.39, 0.3])
+        params, risks = [], []
+
+        def objective(r):
+            params.append(model.params.copy())
+            risks.append(r)
+            return next(scripted)
+
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=7, patience=2, seed=0)
+        _, best_risks, epochs = sgd_early_stop(model, train, val, objective, weight_rule, cfg)
+        # epoch 4 is the best; epoch 5 is worse and epoch 6 only ties it, so the fit stops there
+        assert epochs == len(params) == 6
+        assert model.params.tobytes() == params[3].tobytes()
+        assert best_risks.tobytes() == risks[3].tobytes()
+
 
 def grouped_dataset(n, G, seed):
     """n rows in G groups of unequal size, two classes with group-dependent overlap."""
