@@ -16,8 +16,8 @@ from functools import partial
 
 import numpy as np
 
-from paretofair.data import GroupedDataset, write_table
-from paretofair.model import MLPClassifier, TrainConfig, sgd_early_stop
+from paretofair.data import GroupedDataset, _naming, write_table
+from paretofair.model import MLPClassifier, TrainConfig, _block_weights, _weight_sum, sgd_early_stop
 from paretofair.oracle import ScenarioSpec, exact_group_risks, scalarized_bayes_predictor
 from paretofair.risk import InputError, _check_field, _is_int, archive_insert, max_gap
 # not called here: bench/selftest.py checks that the bench tracer patches this binding
@@ -110,7 +110,8 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
     to min risk / k and rescales the multipliers to mu*, which keeps each
     group's weight at the accepted risks; a reject restores mu* and decays
     ``lr`` and the bump ``gamma``. The loop stops after ``max_outer_iters``
-    steps, or after ``max_consecutive_rejects`` rejects in a row.
+    steps, or after ``max_consecutive_rejects`` rejects in a row. An
+    InputError raised inside a step names its outer iteration.
     """
     mu = np.full(G, hp.mu_init, dtype=float)
     mu_star = mu.copy()
@@ -126,7 +127,7 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
                              "2 * mu must be finite")
         # each rule holds its own array: the loop updates mu in place after the step
         rules = partial(adaptive_loss, mu=mu.copy(), c=c), partial(_weights, two_mu=two_mu, c=c)
-        snapshot, r = solve(best, *rules, lr, hp.seed + it)
+        snapshot, r = _naming(f"outer iteration {it}", solve, best, *rules, lr, hp.seed + it)
         gap = max_gap(r)
         accepted, kept = archive_insert(archive, r) if gap < gamma_star else (False, archive)
         with np.errstate(over="ignore"):  # the next step's check names an overflowed multiplier
@@ -185,15 +186,16 @@ def exact_solver(spec: ScenarioSpec):
     as the adaptive loss's is, ``objective(R(g))`` is minimized over the
     tabulated predictor g by the scalarized Bayes predictor at lambda
     proportional to ``w = weight_rule(R(g))``; the damped fixed point
-    lambda <- (lambda + w / sum w) / 2 finds it. Only ``weight_rule`` is used.
+    lambda <- (lambda + w / sum w) / 2 finds it. Only ``weight_rule`` is used,
+    and its weights are checked as ``sgd_early_stop`` checks a step's weights.
     """
 
     def solve(start, objective, weight_rule, lr, seed):
         lam = np.asarray(start, dtype=float)
         for _ in range(_SOLVER_ITERS):
             r = exact_group_risks(spec, scalarized_bayes_predictor(spec, lam))
-            w = weight_rule(r)
-            step = 0.5 * (w / w.sum() - lam)
+            w = _block_weights(weight_rule, spec.num_groups, 1, r)  # one row per group: its mean has r's bits
+            step = 0.5 * (w / _weight_sum(w, "the weight rule's weights") - lam)
             if np.max(np.abs(step)) <= 1e-13:
                 return lam, r
             lam = lam + step

@@ -118,23 +118,18 @@ class MLPClassifier:
     def _forward_cached(self, X, hs=None):
         """Class probabilities of the rows of ``X``: the one layer loop.
 
-        Each layer computes ``h @ W``, adds ``b`` in place and, if hidden,
-        applies the activation in place, so at most two hidden activations
-        are alive at once; the softmax runs in place on the logits. A layer
-        with one input column computes the outer product ``h * W``, which
-        skips the BLAS call: each entry is one product either way, and only a
-        product of -0.0, which BLAS sums onto +0.0, differs. Adding ``b``
-        maps both zeros to the same bits (for a -0.0 bias, the next layer's
-        sum and the softmax do). If ``hs`` is a list, each layer's input
-        (``X``, then each hidden activation) is appended to it: those are all
-        the backward pass needs.
+        Every layer, whatever its width, computes ``h @ W``, adds ``b`` in
+        place and, if hidden, applies the activation in place, so at most two
+        hidden activations are alive at once; the softmax runs in place on the
+        logits. If ``hs`` is a list, each layer's input (``X``, then each
+        hidden activation) is appended to it: all the backward pass needs.
         """
         h = X
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             if hs is not None:
                 hs.append(h)
-            h = h * W if W.shape[0] == 1 else h @ W
+            h = h @ W
             h += b
             if i < last:
                 if self.activation == "relu":
@@ -177,6 +172,15 @@ class MLPClassifier:
         return np.argmax(self.forward(X), axis=1)
 
 
+def _weight_sum(w, name: str) -> float:
+    """The sum of the weights ``w``; InputError unless they are finite and nonnegative, with a positive, finite sum."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows, or is inf - inf, raises below
+        wsum = float(w.sum())
+    if not (w.min() >= 0 and 0 < wsum < math.inf):  # NaN fails the first test
+        raise InputError(f"{name} must be finite and nonnegative, with a positive, finite sum")
+    return wsum
+
+
 def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = "brier"):
     """Exact gradient of sum_i w_i l_i / sum_i w_i with respect to all parameters.
 
@@ -198,13 +202,7 @@ def weighted_grad(model: MLPClassifier, X, targets, sample_weights, loss: str = 
     w = np.asarray(sample_weights, dtype=float)
     if w.shape != (n,):
         raise InputError(f"sample weights have shape {w.shape}, expected one per row ({n},)")
-    with np.errstate(over="ignore"):  # finite weights whose sum overflows raise below
-        wsum = float(w.sum())
-    # NaN fails the first test; -inf the first, +inf the second
-    if not (w.min() >= 0 and math.isfinite(wsum)):
-        raise InputError("sample weights must be finite and nonnegative, with a finite sum")
-    if wsum <= 0:
-        raise InputError("sample weights must not all be zero")
+    wsum = _weight_sum(w, "sample weights")
     # softmax Jacobian: dl/dz_k = p_k (g_k - sum_j g_j p_j)
     inner = (dl_dp * probs).sum(axis=1, keepdims=True)
     delta = probs * (dl_dp - inner)

@@ -155,8 +155,8 @@ def exact_group_risks(spec: ScenarioSpec, g) -> np.ndarray:
 
 
 def bayes_noise(spec: ScenarioSpec) -> np.ndarray:
-    """Smallest achievable risk per group: sum_x p(x|a) * 2 eta (1 - eta)."""
-    return np.einsum("ab,ab->a", spec.density, 2.0 * spec.eta * (1.0 - spec.eta))
+    """Smallest achievable risk per group: group a's exact risk of its own Bayes predictor g = eta_a."""
+    return np.einsum("ab,ab->a", spec.density, _pointwise_risk(spec.eta, spec.eta))
 
 
 def scalarized_bayes_predictor(spec: ScenarioSpec, lam) -> np.ndarray:

@@ -4,6 +4,16 @@ import pytest
 from paretofair.oracle import ScenarioParams, make_scenario, trace_front
 from paretofair.risk import group_risks
 
+# a longer parametrize id fails collection: name such a case with pytest.param(..., id=...)
+MAX_ID_LENGTH = 60
+
+
+def pytest_collection_modifyitems(config, items):
+    too_long = [item.nodeid for item in items if hasattr(item, "callspec") and len(item.callspec.id) > MAX_ID_LENGTH]
+    if too_long:
+        raise pytest.UsageError(f"{len(too_long)} test ids are longer than {MAX_ID_LENGTH} characters; name their "
+                                "cases with pytest.param(..., id=...):\n" + "\n".join(too_long))
+
 
 @pytest.fixture(scope="session")
 def acceptance_spec():

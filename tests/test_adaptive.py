@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -386,6 +387,16 @@ class TestMultiplierOverflow:
             else:
                 outer_loop(exact_solver(acceptance_spec), acceptance_spec.priors, 2, hp)
 
+    @pytest.mark.parametrize("spec_name", ["acceptance_spec", "three_group_spec"])
+    def test_an_overflowing_weight_sum_names_the_iteration(self, spec_name, request):
+        # 2 mu is finite, but a batch of 64 rows' weights near 2e307 (r - c) sums past the float range
+        spec = request.getfixturevalue(spec_name)
+        hp = _small_hp(max_outer_iters=3, max_epochs=1, patience=1, mu_init=1e307)
+        tr, va = split_dataset(sample_dataset(spec, 400, seed=0), (0.75, 0.25), seed=0)
+        message = r"^outer iteration 0: sample weights must be finite and nonnegative, with a positive, finite sum$"
+        with pytest.raises(InputError, match=message):
+            pareto_fair_optimize(tr, va, MLPClassifier([1, 4, 2], seed=0), hp)
+
 
 def group_dro_rule(G, eta):
     """Group DRO's exponentiated-gradient group weights (Sagawa et al., 2020) as a ``weight_rule``.
@@ -498,6 +509,30 @@ class TestExactLoop:
         monkeypatch.setattr(adaptive, "_SOLVER_ITERS", 2)
         with pytest.raises(InputError, match=r"did not converge in 2 iterations \(lambda=\[.*\], weights=\["):
             exact_solver(acceptance_spec)(acceptance_spec.priors, None, lambda r: 1.0 + 2.0 * r, 0.1, 0)
+
+    @pytest.mark.parametrize("spec_name", ["acceptance_spec", "three_group_spec"])
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            lambda r: np.ones(r.size + 1),
+            lambda r: 1.0,
+            np.zeros_like,
+            lambda r: np.r_[-1.0, np.ones(r.size - 1)],
+            lambda r: np.r_[np.nan, np.ones(r.size - 1)],
+        ],
+        ids=["extra-weight", "float", "all-zero", "negative", "nan"],
+    )
+    def test_bad_weights_raise_a_typed_error(self, spec_name, rule, request):
+        spec = request.getfixturevalue(spec_name)
+        G = spec.num_groups
+        shape = np.shape(rule(np.ones(G)))
+        if shape != (G,):
+            message = (rf"^the weight rule returned shape {re.escape(str(shape))}, "
+                       rf"expected one weight per group \({G},\)$")
+        else:
+            message = r"^the weight rule's weights must be finite and nonnegative, with a positive, finite sum$"
+        with pytest.raises(InputError, match=message):
+            exact_solver(spec)(spec.priors, None, rule, 0.1, 0)
 
     def test_any_weight_rule_reaches_the_solver(self, acceptance_spec, front):
         # constant weights are the gradient of the plain risk sum: lambda lands on

@@ -170,15 +170,18 @@ class TestApplyRule:
         "keep_prob, decisions, groups, message",
         [
             # one group id for three decisions would broadcast
-            ([1.0, 0.0], [0, 1, 1], [0], "groups must be a 1-D array of 3 labels"),
-            ([1.0, 0.0], [0, 1], [0, 1, 1], "groups must be a 1-D array of 2 labels"),
-            ([1.0, 0.0], [[0, 1]], [[0, 1]], "decisions must be a 1-D array"),
+            pytest.param([1.0, 0.0], [0, 1, 1], [0], "groups must be a 1-D array of 3 labels",
+                         id="one group for three decisions"),
+            pytest.param([1.0, 0.0], [0, 1], [0, 1, 1], "groups must be a 1-D array of 2 labels",
+                         id="three groups for two decisions"),
+            pytest.param([1.0, 0.0], [[0, 1]], [[0, 1]], "decisions must be a 1-D array", id="2-D decisions"),
             # -1 would index the last group
-            ([1.0, 0.0], [0, 1], [0, -1], r"groups must be whole numbers in \[0, 2\)"),
-            ([1.0, 0.0], [0, 1], [0, 2], r"groups must be whole numbers in \[0, 2\)"),
-            ([[1.0, 0.0]], [0, 1], [0, 0], r"keep probabilities must lie in \[0, 1\], one per group"),
+            pytest.param([1.0, 0.0], [0, 1], [0, -1], r"groups must be whole numbers in \[0, 2\)", id="group -1"),
+            pytest.param([1.0, 0.0], [0, 1], [0, 2], r"groups must be whole numbers in \[0, 2\)", id="group 2"),
+            pytest.param([[1.0, 0.0]], [0, 1], [0, 0], r"keep probabilities must lie in \[0, 1\], one per group",
+                         id="2-D keep probabilities"),
             # the coin draws from {0, 1}, so a decision 2 would be kept or lost at random
-            ([1.0, 0.0], [0, 2], [0, 1], r"decisions must be whole numbers in \[0, 2\)"),
+            pytest.param([1.0, 0.0], [0, 2], [0, 1], r"decisions must be whole numbers in \[0, 2\)", id="decision 2"),
         ],
     )
     def test_malformed_inputs_raise_input_error(self, keep_prob, decisions, groups, message):

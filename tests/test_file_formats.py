@@ -98,12 +98,12 @@ def after(prefix):
 
 
 TEXT_LOADERS = [
-    (load_csv, b"f0,target,group\n"),
-    (load_metrics_csv, b"method,group,ratio,accuracy,brier,n\nx,__sample_mean,,0.5,0.5,\n"),
-    (lambda p: load_key_values(p, cli.ExperimentConfig), b"hidden = "),
-    (lambda p: load_key_values(p, cli.ExperimentConfig), b"lr = "),
-    (load_scenario, b"priors = "),
-    (load_scenario, b"grid_points = "),
+    pytest.param(load_csv, b"f0,target,group\n", id="dataset"),
+    pytest.param(load_metrics_csv, b"method,group,ratio,accuracy,brier,n\nx,__sample_mean,,0.5,0.5,\n", id="metrics"),
+    pytest.param(lambda p: load_key_values(p, cli.ExperimentConfig), b"hidden = ", id="config hidden"),
+    pytest.param(lambda p: load_key_values(p, cli.ExperimentConfig), b"lr = ", id="config lr"),
+    pytest.param(load_scenario, b"priors = ", id="scenario priors"),
+    pytest.param(load_scenario, b"grid_points = ", id="scenario grid_points"),
 ]
 
 
@@ -214,7 +214,9 @@ METRICS = (load_metrics_csv, reference_load_metrics_csv, METRICS_PREFIX)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, _BLOCK_ROWS])
-@pytest.mark.parametrize("load, reference, prefix", [DATASET, METRICS])
+@pytest.mark.parametrize(
+    "load, reference, prefix", [pytest.param(*DATASET, id="dataset"), pytest.param(*METRICS, id="metrics")]
+)
 @FILE_SETTINGS
 @given(data=st.data())
 def test_block_reader_matches_the_per_row_reader(tmp_path, block_rows, load, reference, prefix, data):
@@ -430,10 +432,10 @@ def test_checkpoint_loader_on_any_bytes(tmp_path, data):
 @pytest.mark.parametrize(
     "load, text",
     [
-        (load_csv, b"f0,target,group\n\xff,1,0\n"),
-        (load_metrics_csv, b"method,group,ratio,accuracy,brier,n\n\xff,g0,1.0,0.9,0.1,10\n"),
-        (lambda p: cli.build_config(p, {}), b"lr = 0.1\nmethod = \xff\n"),
-        (load_scenario, b"grid_points = 11\npriors = \xfe\n"),
+        pytest.param(load_csv, b"f0,target,group\n\xff,1,0\n", id="dataset"),
+        pytest.param(load_metrics_csv, b"method,group,ratio,accuracy,brier,n\n\xff,g0,1.0,0.9,0.1,10\n", id="metrics"),
+        pytest.param(lambda p: cli.build_config(p, {}), b"lr = 0.1\nmethod = \xff\n", id="config"),
+        pytest.param(load_scenario, b"grid_points = 11\npriors = \xfe\n", id="scenario"),
     ],
 )
 def test_bytes_that_are_not_utf8_name_the_line(tmp_path, load, text):

@@ -229,19 +229,24 @@ class TestWeightedGrad:
     @pytest.mark.parametrize(
         "X, targets, weights, message",
         [
-            ([[1.0, 2.0]], [-1], [1.0], r"targets must be whole numbers in \[0, 2\)"),
-            ([[1.0, 2.0]], [2], [1.0], r"targets must be whole numbers in \[0, 2\)"),
-            ([[1.0, 2.0], [0.5, 0.0]], [1], [1.0, 1.0], "targets must be a 1-D array of 2 labels"),
-            ([[1.0, 2.0]], [0], [1.0, 1.0], "one per row"),
-            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, np.nan], "finite"),
-            ([[1.0, 2.0]], [0], [np.inf], "finite"),
-            ([[1.0]], [0], [1.0], "input of width 2"),
-            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, np.nan], "finite and nonnegative"),
-            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, -1.0], "finite and nonnegative"),
-            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [np.inf, 1.0], "finite and nonnegative"),
-            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, -np.inf], "finite and nonnegative"),
+            pytest.param([[1.0, 2.0]], [-1], [1.0], r"targets must be whole numbers in \[0, 2\)", id="target -1"),
+            pytest.param([[1.0, 2.0]], [2], [1.0], r"targets must be whole numbers in \[0, 2\)", id="target 2"),
+            pytest.param([[1.0, 2.0], [0.5, 0.0]], [1], [1.0, 1.0], "targets must be a 1-D array of 2 labels",
+                         id="one target for two rows"),
+            pytest.param([[1.0, 2.0]], [0], [1.0, 1.0], "one per row", id="two weights for one row"),
+            pytest.param([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, np.nan], "finite", id="nan weight"),
+            pytest.param([[1.0, 2.0]], [0], [np.inf], "finite", id="one inf weight"),
+            pytest.param([[1.0]], [0], [1.0], "input of width 2", id="narrow input"),
+            pytest.param([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, np.nan], "finite and nonnegative",
+                         id="nan weight, whole rule"),
+            pytest.param([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, -1.0], "finite and nonnegative",
+                         id="negative weight"),
+            pytest.param([[1.0, 2.0], [0.5, 0.0]], [0, 1], [np.inf, 1.0], "finite and nonnegative", id="inf weight"),
+            pytest.param([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1.0, -np.inf], "finite and nonnegative",
+                         id="-inf weight"),
             # finite, but the sum is inf, and w / inf would be a zero gradient
-            ([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1e308, 1e308], "finite and nonnegative"),
+            pytest.param([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1e308, 1e308], "finite and nonnegative",
+                         id="weights summing to inf"),
         ],
     )
     def test_bad_input_rejected(self, X, targets, weights, message):
@@ -329,54 +334,47 @@ for dims in ([1, 64, 64, 2], [3, 64, 64, 2]):
 class TestLayerLoop:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("loss", ["brier", "cross_entropy"])
-    @pytest.mark.parametrize("case", ["random", "one row", "zero pre-activations"])
-    def test_matches_plain_reference_bitwise(self, activation, loss, case):
-        rng = np.random.default_rng(12)
-        m = MLPClassifier([3, 6, 5, 2], activation=activation, seed=4)
-        n = 1 if case == "one row" else 16
-        X = rng.standard_normal((n, 3))
-        if case == "zero pre-activations":
-            # zero biases: every z of a zero row is 0.0, and so is every z of a
-            # unit whose incoming weights are zero
-            X[::2] = 0.0
-            m.weights[0][:, 1] = 0.0
-            m.weights[1][:, 3] = 0.0
-        else:
+    @pytest.mark.parametrize(
+        "case, dims, n",
+        [
+            *(pytest.param(case, [3, 6, 5, 2], n, id=case)
+              for case, n in [("random", 16), ("one row", 1), ("zero pre-activations", 16)]),
+            *(pytest.param("one column", dims, n, id=f"one column {'-'.join(map(str, dims))} n={n}")
+              for dims in ([1, 6, 5, 2], [1, 3]) for n in (1, 128, 4000)),
+        ],
+    )
+    def test_matches_plain_reference_bitwise(self, activation, loss, case, dims, n):
+        m = MLPClassifier(dims, activation=activation, seed=4)
+        if case == "one column":
+            # zero and negative rows, zero weights and a -0.0 first bias: products of
+            # -0.0 and sums onto a zero are where one product rule could differ from another
+            rng = np.random.default_rng(n)
             for b in m.biases:
                 b[...] = rng.standard_normal(b.shape)
-        y = rng.integers(0, 2, n)
+            X = rng.standard_normal((n, 1))
+            X[::3] = 0.0
+            X[1::3] = -np.abs(X[1::3])
+            m.weights[0][0, ::2] = 0.0
+            m.biases[0][:2] = [-0.0, 0.0]
+        else:
+            rng = np.random.default_rng(12)
+            X = rng.standard_normal((n, 3))
+            if case == "zero pre-activations":
+                # zero biases: every z of a zero row is 0.0, and so is every z of a
+                # unit whose incoming weights are zero
+                X[::2] = 0.0
+                m.weights[0][:, 1] = 0.0
+                m.weights[1][:, 3] = 0.0
+            else:
+                for b in m.biases:
+                    b[...] = rng.standard_normal(b.shape)
+        y = rng.integers(0, dims[-1], n)
         w = rng.uniform(0.5, 3.0, n)
         probs, gW, gb = reference_forward_and_grad(m, X, y, w, loss)
         if case == "zero pre-activations":
             assert np.any(X @ m.weights[0] == 0.0)
-        assert np.array_equal(m.forward(X), probs)
-        got_W, got_b = weighted_grad(m, X, y, w, loss)
-        for a, b in zip(got_W + got_b, gW + gb):
-            assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    @pytest.mark.parametrize("dims", [[1, 6, 5, 2], [1, 3]])
-    @pytest.mark.parametrize("n", [1, 128, 4000])
-    def test_one_column_layer_matches_matmul_bitwise(self, activation, dims, n):
-        rng = np.random.default_rng(n)
-        m = MLPClassifier(dims, activation=activation, seed=4)
-        for b in m.biases:
-            b[...] = rng.standard_normal(b.shape)
-        X = rng.standard_normal((n, 1))
-        X[::3] = 0.0
-        X[1::3] = -np.abs(X[1::3])
-        W = m.weights[0]
-        W[0, ::2] = 0.0
-        m.biases[0][:2] = [-0.0, 0.0]
-        # each entry is one product either way; only a zero product's sign can
-        # differ (BLAS sums onto +0.0), and the bias, the next layer's sum or
-        # the softmax's exp takes both zeros to the same bits
-        assert np.array_equal(X * W, X @ W)
-        y = rng.integers(0, dims[-1], n)
-        w = rng.uniform(0.5, 3.0, n)
-        probs, gW, gb = reference_forward_and_grad(m, X, y, w, "brier")
         assert m.forward(X).tobytes() == probs.tobytes()
-        got_W, got_b = weighted_grad(m, X, y, w, "brier")
+        got_W, got_b = weighted_grad(m, X, y, w, loss)
         for a, b in zip(got_W + got_b, gW + gb):
             assert a.tobytes() == b.tobytes()
 

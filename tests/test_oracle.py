@@ -186,10 +186,11 @@ class TestScenarioFile:
     @pytest.mark.parametrize(
         "text, where",
         [
-            ("# comment\ngrid_points = many\n", r"bad\.txt:2: grid_points"),
-            ("priors = 0.5,x\n", r"bad\.txt:1: priors"),
-            ("grid_min = 0.0\ngrid_max\n", r"bad\.txt:2: expected 'key = value'"),
-            ("priors = 0.5,0.5\npriors = 0.9,0.1\n", r"bad\.txt:2: repeated key 'priors'"),
+            pytest.param("# comment\ngrid_points = many\n", r"bad\.txt:2: grid_points", id="a bad value"),
+            pytest.param("priors = 0.5,x\n", r"bad\.txt:1: priors", id="a bad list item"),
+            pytest.param("grid_min = 0.0\ngrid_max\n", r"bad\.txt:2: expected 'key = value'", id="a line without ="),
+            pytest.param("priors = 0.5,0.5\npriors = 0.9,0.1\n", r"bad\.txt:2: repeated key 'priors'",
+                         id="a repeated key"),
         ],
     )
     def test_errors_name_the_line(self, tmp_path, text, where):
@@ -349,10 +350,12 @@ def test_in_place_jitter_keeps_the_bits_of_the_out_of_place_sum(params, n):
 
 
 class TestExactRisks:
-    def test_bayes_predictor_attains_noise(self, acceptance_spec):
-        for a in range(2):
-            r = exact_group_risks(acceptance_spec, acceptance_spec.eta[a])[a]
-            assert r == pytest.approx(bayes_noise(acceptance_spec)[a], abs=1e-12)
+    @pytest.mark.parametrize("spec_name", ["acceptance_spec", "three_group_spec"])
+    def test_bayes_predictor_attains_noise(self, spec_name, request):
+        spec = request.getfixturevalue(spec_name)
+        noise = bayes_noise(spec)
+        for a in range(spec.num_groups):
+            assert noise[a] == exact_group_risks(spec, spec.eta[a])[a]
 
     def test_constant_eta_example(self):
         spec = single_group_spec(0.1)

@@ -89,17 +89,20 @@ class TestMetricsCsv:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("", r"m\.csv: empty file"),
-            ("method,group,ratio,accuracy,brier,n\nx,g0,0.5,0.9\n", r"m\.csv:2: expected 6 fields, got 4"),
-            ("method,group,ratio,accuracy,brier,n\nx,g0,0.5,high,0.1,10\n", r"m\.csv:2: "),
-            ("method,group,ratio,accuracy,brier,n\nx,g0,1.0,0.9,0.1,10\n", r"m\.csv: missing summary row"),
-            (METRICS_HEAD + "x,g0,0.5,0.9,0.1,10\nx,g1,0.5,0.8,0.2,10\nx,g0,0.5,0.7,0.3,10\n" + SUMMARY,
-             r"m\.csv: repeated row g0$"),
-            (METRICS_HEAD + "x,g0,0.5,0.9,0.1,10\n" + SUMMARY + "x,__discrepancy,,0.1,0.1,\n",
-             r"m\.csv: repeated row __discrepancy$"),
+            pytest.param("", r"m\.csv: empty file", id="empty"),
+            pytest.param("method,group,ratio,accuracy,brier,n\nx,g0,0.5,0.9\n", r"m\.csv:2: expected 6 fields, got 4",
+                         id="a short row"),
+            pytest.param("method,group,ratio,accuracy,brier,n\nx,g0,0.5,high,0.1,10\n", r"m\.csv:2: ",
+                         id="a bad cell"),
+            pytest.param("method,group,ratio,accuracy,brier,n\nx,g0,1.0,0.9,0.1,10\n", r"m\.csv: missing summary row",
+                         id="no summary rows"),
+            pytest.param(METRICS_HEAD + "x,g0,0.5,0.9,0.1,10\nx,g1,0.5,0.8,0.2,10\nx,g0,0.5,0.7,0.3,10\n" + SUMMARY,
+                         r"m\.csv: repeated row g0$", id="a repeated group row"),
+            pytest.param(METRICS_HEAD + "x,g0,0.5,0.9,0.1,10\n" + SUMMARY + "x,__discrepancy,,0.1,0.1,\n",
+                         r"m\.csv: repeated row __discrepancy$", id="a repeated summary row"),
             # the combined table would label every column with the last row's method
-            (METRICS_HEAD + "x,g0,0.5,0.9,0.1,10\nx,g1,0.5,0.8,0.2,10\npf,g2,0.5,0.8,0.2,10\n" + SUMMARY,
-             r"m\.csv:4: method 'pf' differs from the first row's 'x'$"),
+            pytest.param(METRICS_HEAD + "x,g0,0.5,0.9,0.1,10\nx,g1,0.5,0.8,0.2,10\npf,g2,0.5,0.8,0.2,10\n" + SUMMARY,
+                         r"m\.csv:4: method 'pf' differs from the first row's 'x'$", id="a second method"),
         ],
     )
     def test_malformed_files_name_the_path(self, tmp_path, text, message):
@@ -417,23 +420,30 @@ class TestCliCommands:
         assert not (out / "model.ckpt").exists()
 
     @pytest.mark.parametrize("line, flags, message", [
-        ("", ["--seed", "-1"], "seed must be an integer in [0, 2**63), got -1"),
-        ("seed = -1", [], "seed must be an integer in [0, 2**63), got -1"),
+        pytest.param("", ["--seed", "-1"], "seed must be an integer in [0, 2**63), got -1", id="flag seed -1"),
+        pytest.param("seed = -1", [], "seed must be an integer in [0, 2**63), got -1", id="seed -1"),
         # at the parent this trained and then failed writing the checkpoint
-        ("", ["--seed", str(2**63)], f"seed must be an integer in [0, 2**63), got {2**63}"),
-        ("split = 0.5, 0.5", [], "split must be three fractions (train, validation, test), got (0.5, 0.5)"),
-        ("split = 0.5, 0.5, 0.5", [], "split must be positive fractions that sum to 1, got (0.5, 0.5, 0.5)"),
-        ("loss = hinge", [], "loss must be one of ('brier', 'cross_entropy'), got 'hinge'"),
-        ("hidden = 0", [], "hidden must be integer widths >= 1, got (0,)"),
-        ("hidden = 8, -2", [], "hidden must be integer widths >= 1, got (8, -2)"),
-        ("activation = sigmoid", [], "activation must be one of ('relu', 'tanh'), got 'sigmoid'"),
-        ("method = fancy", [], "method must be one of ('naive', 'rebalanced', 'paretofair'), got 'fancy'"),
-        ("n = 0", [], "n must be an integer >= 1, got 0"),
+        pytest.param("", ["--seed", str(2**63)], f"seed must be an integer in [0, 2**63), got {2**63}",
+                     id="flag seed 2**63"),
+        pytest.param("split = 0.5, 0.5", [], "split must be three fractions (train, validation, test), got (0.5, 0.5)",
+                     id="split of two"),
+        pytest.param("split = 0.5, 0.5, 0.5", [],
+                     "split must be positive fractions that sum to 1, got (0.5, 0.5, 0.5)", id="split summing to 1.5"),
+        pytest.param("loss = hinge", [], "loss must be one of ('brier', 'cross_entropy'), got 'hinge'",
+                     id="loss hinge"),
+        pytest.param("hidden = 0", [], "hidden must be integer widths >= 1, got (0,)", id="hidden 0"),
+        pytest.param("hidden = 8, -2", [], "hidden must be integer widths >= 1, got (8, -2)", id="hidden 8, -2"),
+        pytest.param("activation = sigmoid", [], "activation must be one of ('relu', 'tanh'), got 'sigmoid'",
+                     id="activation sigmoid"),
+        pytest.param("method = fancy", [], "method must be one of ('naive', 'rebalanced', 'paretofair'), got 'fancy'",
+                     id="method fancy"),
+        pytest.param("n = 0", [], "n must be an integer >= 1, got 0", id="n 0"),
         # trainer settings, checked by TrainConfig and PFHyperparams
-        ("lr = nan", [], "lr must be finite and positive, got nan"),
-        ("max_outer_iters = 0", [], "max_outer_iters must be an integer >= 1, got 0"),
+        pytest.param("lr = nan", [], "lr must be finite and positive, got nan", id="lr nan"),
+        pytest.param("max_outer_iters = 0", [], "max_outer_iters must be an integer >= 1, got 0",
+                     id="max_outer_iters 0"),
         # a key set twice names its second line
-        ("lr = 0.1\nlr = 0.5", [], "6: repeated key 'lr'"),
+        pytest.param("lr = 0.1\nlr = 0.5", [], "6: repeated key 'lr'", id="repeated lr"),
     ])
     def test_train_bad_key_fails_before_any_work(self, scenario_file, tmp_path, capsys, line, flags, message):
         cfg = tmp_path / "cfg.txt"
