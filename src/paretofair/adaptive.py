@@ -25,15 +25,19 @@ from paretofair.risk import group_risks  # noqa: F401
 
 _EPS = 1e-12
 _SOLVER_ITERS = 200  # exact_solver's cap; 13,446 solves on 202 scenarios needed at most 42
+_MU_MAX = float(np.finfo(float).max) / 2  # the largest multiplier whose 2 * mu is finite
 
 
 def _check_mu(mu, shape) -> np.ndarray:
-    """``mu`` as a float array of the risks' ``shape`` with nonnegative entries, or InputError."""
+    """``mu`` as a float array of the risks' ``shape``, each entry in [0, _MU_MAX] (NaN fails), or InputError."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != shape:
         raise InputError("mu length does not match number of groups")
-    if np.any(mu < 0):
-        raise InputError("mu entries must be nonnegative")
+    for a, mu_a in enumerate(mu.tolist()):  # G floats: a Python loop beats numpy's reductions at this size
+        if not mu_a >= 0:
+            raise InputError("mu entries must be nonnegative")
+        if mu_a > _MU_MAX:
+            raise InputError(f"the multiplier of group {a}, mu = {mu_a}, is too large; 2 * mu must be finite")
     return mu
 
 
@@ -44,11 +48,6 @@ def adaptive_loss(r, mu, c: float) -> float:
     return float(np.sum(risks + mu * np.maximum(risks - c, 0.0) ** 2))
 
 
-def _weights(risks: np.ndarray, two_mu: np.ndarray, c: float) -> np.ndarray:
-    """1 + 2 mu (r - c)^+ for float ``risks`` and ``two_mu`` = 2.0 * mu, a nonnegative float array."""
-    return 1.0 + two_mu * np.maximum(risks - c, 0.0)
-
-
 def group_weights(r_hat, mu, c: float) -> np.ndarray:
     """Per-group sample weights w_a = 1 + 2 mu_a (r_a - c)^+.
 
@@ -56,7 +55,7 @@ def group_weights(r_hat, mu, c: float) -> np.ndarray:
     weighting per-sample gradients by it optimizes the adaptive loss.
     """
     risks = np.asarray(r_hat, dtype=float)
-    return _weights(risks, 2.0 * _check_mu(mu, risks.shape), c)
+    return 1.0 + 2.0 * _check_mu(mu, risks.shape) * np.maximum(risks - c, 0.0)
 
 
 @dataclass
@@ -100,8 +99,8 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
     """The outer loop over an inner solver; returns (best_snapshot, trace).
 
     ``solve(start, objective, weight_rule, lr, seed) -> (snapshot, risks)``
-    minimizes ``objective`` from the snapshot ``start``; ``risks`` is the
-    snapshot's float array of G group risks. The pair is the one that
+    minimizes ``objective`` from the snapshot ``start``; ``risks``, the
+    snapshot's G group risks, must be finite floats. The pair is the one that
     ``sgd_early_stop`` takes, bound at each step to the adaptive loss at that
     step's multipliers ``mu`` and threshold ``c``, so no solver knows either.
     Every step starts from the best accepted snapshot, so a rejected step is
@@ -111,26 +110,24 @@ def outer_loop(solve, start, G: int, hp: PFHyperparams):
     group's weight at the accepted risks; a reject restores mu* and decays
     ``lr`` and the bump ``gamma``. The loop stops after ``max_outer_iters``
     steps, or after ``max_consecutive_rejects`` rejects in a row. An
-    InputError raised inside a step names its outer iteration.
+    InputError raised inside a step names its outer iteration; a multiplier
+    too large for ``_check_mu`` raises one at the step's first rule call.
     """
     mu = np.full(G, hp.mu_init, dtype=float)
     mu_star = mu.copy()
     c, gamma, lr, gamma_star = 0.0, hp.gamma0, hp.lr, np.inf
     best, archive, trace, rejects = start, (), [], 0
     for it in range(hp.max_outer_iters):
-        with np.errstate(over="ignore"):  # a multiplier that overflows raises here, naming its group
-            two_mu = 2.0 * mu
-        overflowed = np.flatnonzero(~np.isfinite(two_mu))
-        if overflowed.size:
-            a = overflowed[0]
-            raise InputError(f"outer iteration {it}: the multiplier of group {a}, mu = {mu[a]}, is too large; "
-                             "2 * mu must be finite")
         # each rule holds its own array: the loop updates mu in place after the step
-        rules = partial(adaptive_loss, mu=mu.copy(), c=c), partial(_weights, two_mu=two_mu, c=c)
-        snapshot, r = _naming(f"outer iteration {it}", solve, best, *rules, lr, hp.seed + it)
+        rules = partial(adaptive_loss, mu=mu.copy(), c=c), partial(group_weights, mu=mu.copy(), c=c)
+        step = f"outer iteration {it}"
+        snapshot, r = _naming(step, solve, best, *rules, lr, hp.seed + it)
+        r = np.asarray(r, dtype=float)
+        if r.shape != (G,) or not np.isfinite(r).all():
+            raise InputError(f"{step}: the solver returned risks {r.tolist()}, expected {G} finite floats")
         gap = max_gap(r)
         accepted, kept = archive_insert(archive, r) if gap < gamma_star else (False, archive)
-        with np.errstate(over="ignore"):  # the next step's check names an overflowed multiplier
+        with np.errstate(over="ignore"):  # the next step's rules name an overflowed multiplier
             if accepted:
                 c_old, c = c, float(r.min()) / hp.k
                 num = np.maximum(r - c_old, 0.0)

@@ -176,7 +176,7 @@ def _weight_sum(w, name: str) -> float:
     """The sum of the weights ``w``; InputError unless they are finite and nonnegative, with a positive, finite sum."""
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows, or is inf - inf, raises below
         wsum = float(w.sum())
-    if not (w.min() >= 0 and 0 < wsum < math.inf):  # NaN fails the first test
+    if not (0 < wsum < math.inf and w.min() >= 0):  # NaN fails; so does an empty w, before its min
         raise InputError(f"{name} must be finite and nonnegative, with a positive, finite sum")
     return wsum
 

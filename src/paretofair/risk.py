@@ -133,6 +133,8 @@ def group_risks(probs: np.ndarray, targets, groups, loss: str = "brier") -> np.n
 def max_gap(r) -> float:
     """Worst pairwise risk difference, max_a R_a - min_a R_a (0 for one group)."""
     r = np.asarray(r, dtype=float)
+    if r.size == 0:
+        raise InputError("max_gap needs at least one risk")
     return float(r.max() - r.min())
 
 

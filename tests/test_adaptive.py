@@ -32,6 +32,10 @@ from paretofair.risk import InputError, dominates, max_gap
 from conftest import model_risks
 
 
+_LARGEST_MU = np.finfo(float).max / 2  # the largest multiplier whose 2 * mu is finite
+_PAST_MAX = float(np.nextafter(_LARGEST_MU, np.inf))
+
+
 class TestAdaptiveLoss:
     def test_zero_mu_is_sum_of_risks(self):
         assert adaptive_loss([0.5, 0.3], [0.0, 0.0], 0.2) == pytest.approx(0.8)
@@ -46,6 +50,27 @@ class TestAdaptiveLoss:
     def test_negative_mu_rejected(self):
         with pytest.raises(InputError):
             adaptive_loss([0.5, 0.3], [-1.0, 0.0], 0.0)
+
+    @pytest.mark.parametrize("fn", [adaptive_loss, group_weights])
+    @pytest.mark.parametrize(
+        "mu, message",
+        [
+            pytest.param(np.nan, "mu entries must be nonnegative", id="nan"),
+            pytest.param(np.inf, "the multiplier of group 1, mu = inf, is too large; 2 * mu must be finite", id="inf"),
+            pytest.param(1e308, "the multiplier of group 1, mu = 1e+308, is too large; 2 * mu must be finite",
+                         id="1e308"),
+            pytest.param(_PAST_MAX, f"the multiplier of group 1, mu = {_PAST_MAX}, is too large; 2 * mu must be finite",
+                         id="past max / 2"),
+        ],
+    )
+    def test_multiplier_out_of_range_rejected(self, fn, mu, message):
+        # the suite turns warnings into errors, so the check must come before 2 * mu overflows
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            fn([0.5, 0.3], [0.0, mu], 0.2)
+
+    @pytest.mark.parametrize("fn", [adaptive_loss, group_weights])
+    def test_largest_multiplier_whose_double_is_finite_accepted(self, fn):
+        assert np.all(np.isfinite(fn([0.5, 0.3], [_LARGEST_MU, _LARGEST_MU], 0.2)))
 
     def test_monotone_in_each_risk(self):
         rng = np.random.default_rng(0)
@@ -121,8 +146,8 @@ class TestGroupWeights:
             assert np.all(w >= 1.0)
 
     def test_same_bits_as_the_written_out_rule(self):
-        # 2.0 * mu * excess is evaluated as (2.0 * mu) * excess, so hoisting
-        # 2.0 * mu out of the minibatch loop keeps the bits
+        # group_weights is this expression, evaluated left to right as
+        # 1.0 + (2.0 * mu) * excess: no factor is reordered or hoisted
         rng = np.random.default_rng(3)
         for G in (1, 2, 3, 5):
             for _ in range(200):
@@ -253,6 +278,14 @@ class TestOuterLoopScripted:
         assert [row.iteration for row in trace if row.accepted] == [0, 15, 30, 45, 60, 75]
         assert trace[-1].lr < 1e-6
 
+    @pytest.mark.parametrize("G", [2, 3])
+    @pytest.mark.parametrize("case", ["no risks", "one risk too many", "nan risk"])
+    def test_bad_risks_from_the_solver_name_the_iteration(self, G, case):
+        bad = {"no risks": [], "one risk too many": [0.3] * (G + 1), "nan risk": [np.nan] + [0.3] * (G - 1)}[case]
+        message = f"outer iteration 1: the solver returned risks {bad}, expected {G} finite floats"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            run_script([[0.4] * G, bad, [0.2] * G])
+
     @settings(deadline=None, max_examples=200)
     @given(st.integers(2, 3).flatmap(
         lambda G: st.lists(st.lists(st.floats(0.0, 1.0), min_size=G, max_size=G), min_size=1, max_size=30)
@@ -372,20 +405,22 @@ class TestOuterLoop:
 
 class TestMultiplierOverflow:
     # the suite turns warnings into errors, so a RuntimeWarning on the way fails these too
+    @pytest.mark.parametrize("spec_name", ["acceptance_spec", "three_group_spec"])
     @pytest.mark.parametrize("solver", ["sgd", "exact"])
     @pytest.mark.parametrize(
         "setting, it", [({"mu_init": 1e308}, 0), ({"gamma0": 1e308}, 1)], ids=["mu_init", "gamma0"]
     )
-    def test_names_the_iteration_and_the_group(self, acceptance_spec, solver, setting, it):
+    def test_names_the_iteration_and_the_group(self, spec_name, solver, setting, it, request):
+        spec = request.getfixturevalue(spec_name)
         hp = _small_hp(max_outer_iters=3, max_epochs=1, patience=1, **setting)
-        tr, va = split_dataset(sample_dataset(acceptance_spec, 400, seed=0), (0.75, 0.25), seed=0)
-        message = (rf"^outer iteration {it}: the multiplier of group [01], mu = \S+, is too large; "
+        tr, va = split_dataset(sample_dataset(spec, 400, seed=0), (0.75, 0.25), seed=0)
+        message = (rf"^outer iteration {it}: the multiplier of group [012], mu = \S+, is too large; "
                    r"2 \* mu must be finite$")
         with pytest.raises(InputError, match=message):
             if solver == "sgd":
                 pareto_fair_optimize(tr, va, MLPClassifier([1, 4, 2], seed=0), hp)
             else:
-                outer_loop(exact_solver(acceptance_spec), acceptance_spec.priors, 2, hp)
+                outer_loop(exact_solver(spec), spec.priors, spec.num_groups, hp)
 
     @pytest.mark.parametrize("spec_name", ["acceptance_spec", "three_group_spec"])
     def test_an_overflowing_weight_sum_names_the_iteration(self, spec_name, request):

@@ -247,6 +247,8 @@ class TestWeightedGrad:
             # finite, but the sum is inf, and w / inf would be a zero gradient
             pytest.param([[1.0, 2.0], [0.5, 0.0]], [0, 1], [1e308, 1e308], "finite and nonnegative",
                          id="weights summing to inf"),
+            # no weights sum to 0, which fails before numpy's min of an empty array could raise
+            pytest.param(np.zeros((0, 2)), [], [], "finite and nonnegative", id="no rows"),
         ],
     )
     def test_bad_input_rejected(self, X, targets, weights, message):

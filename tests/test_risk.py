@@ -284,6 +284,10 @@ class TestDiscriminationGap:
     def test_single_group(self):
         assert max_gap([0.7]) == 0.0
 
+    def test_no_risks_rejected(self):
+        with pytest.raises(InputError, match="^max_gap needs at least one risk$"):
+            max_gap([])
+
     @given(st.lists(st.floats(0, 2), min_size=1, max_size=6))
     def test_max_gap_is_range(self, risks):
         assert max_gap(risks) == pytest.approx(max(risks) - min(risks))
